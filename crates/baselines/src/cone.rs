@@ -11,7 +11,9 @@
 //! group information, and no difference operator (§IV-A: "-" cells).
 
 use crate::embedder::{embed_plan, forward_loss, GeomOps};
-use halk_core::{HalkConfig, QueryModel, TrainExample};
+use halk_core::{
+    ArcScorer, DistanceMode, EntityTrig, HalkConfig, Precision, QueryModel, TrainExample,
+};
 use halk_kg::Graph;
 use halk_logic::plan::{PlanBindings, PlanCache};
 use halk_logic::{Query, Structure};
@@ -115,6 +117,27 @@ impl ConeModel {
                 })
                 .collect(),
         )
+    }
+
+    /// Full-precision half-angle trig of the axis table.
+    fn axis_trig(&self) -> EntityTrig {
+        let table = self.store.value(self.ent_axis);
+        EntityTrig::new(table, 0..table.rows, Precision::F32)
+    }
+
+    /// Scores every entity against `query` through the shared arc kernel.
+    fn score_with(&self, query: &Query, trig: &EntityTrig) -> Vec<f32> {
+        let Some(branches) = self.embed_query_values(query) else {
+            return vec![f32::INFINITY; self.n_entities];
+        };
+        // A cone (axis, aperture) is exactly an arc with center = axis and
+        // half-angle = aperture on the unit circle, and ConE's distance is
+        // Eq. 15/16 taken literally — so the shared kernel applies as-is.
+        let scorer =
+            ArcScorer::from_params(&branches, 1.0, self.cfg.eta, DistanceMode::LiteralEq16);
+        let mut out = Vec::new();
+        scorer.score_into(trig, &mut out);
+        out
     }
 }
 
@@ -280,20 +303,7 @@ impl QueryModel for ConeModel {
     }
 
     fn score_all(&self, query: &Query) -> Vec<f32> {
-        let Some(branches) = self.embed_query_values(query) else {
-            return vec![f32::INFINITY; self.n_entities];
-        };
-        // A cone (axis, aperture) is exactly an arc with center = axis and
-        // half-angle = aperture on the unit circle, and ConE's distance is
-        // Eq. 15/16 taken literally — so the shared kernel applies as-is.
-        let scorer = halk_core::ArcScorer::from_params(
-            &branches,
-            1.0,
-            self.cfg.eta,
-            halk_core::DistanceMode::LiteralEq16,
-        );
-        let trig = halk_core::EntityTrig::new(self.store.value(self.ent_axis));
-        scorer.score_all(&trig)
+        self.score_with(query, &self.axis_trig())
     }
 
     fn n_entities(&self) -> usize {
@@ -304,25 +314,14 @@ impl QueryModel for ConeModel {
         // The per-entity half-angle trig of the axis table is query-
         // independent; precompute it once per parameter state so evaluation
         // sweeps don't rebuild it for every query.
-        Some(Box::new(halk_core::EntityTrig::new(
-            self.store.value(self.ent_axis),
-        )))
+        Some(Box::new(self.axis_trig()))
     }
 
     fn score_all_cached(&self, query: &Query, cache: &halk_core::ScoreCache) -> Vec<f32> {
         let trig = cache
             .downcast_ref::<halk_core::EntityTrig>()
             .expect("cache built by a different model");
-        let Some(branches) = self.embed_query_values(query) else {
-            return vec![f32::INFINITY; self.n_entities];
-        };
-        let scorer = halk_core::ArcScorer::from_params(
-            &branches,
-            1.0,
-            self.cfg.eta,
-            halk_core::DistanceMode::LiteralEq16,
-        );
-        scorer.score_all(trig)
+        self.score_with(query, trig)
     }
 
     fn param_store(&self) -> Option<&halk_nn::ParamStore> {

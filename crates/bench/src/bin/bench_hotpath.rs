@@ -47,8 +47,9 @@
 //! entry with its slowdown percentage.
 
 use halk_core::{
-    evaluate_structure_pool, top_k_indices, ArcShards, ExecBackend, ExecConfig, Executor,
-    HalkConfig, HalkModel, Pool, Precision, QueryModel, ShapeKey, ShardedTrig, TrainExample,
+    evaluate_structure_pool, top_k_indices, ArcShards, EntityTrig, ExecBackend, ExecConfig,
+    Executor, HalkConfig, HalkModel, Pool, Precision, QueryModel, ShapeKey, ShardedTrig,
+    TrainExample,
 };
 use halk_kg::{generate, DatasetSplit, Graph, SynthConfig};
 use halk_logic::plan::{PlanBindings, PlanShape};
@@ -360,7 +361,7 @@ fn main() {
     let ns_full8 = median_ns(samples, iters, || {
         for q in &group8 {
             let mut scores = Vec::new();
-            model8.score_all_until(&trig8, q, &mut scores, &never);
+            model8.score_all_with(&trig8, q, &mut scores);
             black_box(top_k_indices(&scores, 10));
         }
     }) / group8.len() as f64;
@@ -470,7 +471,7 @@ fn main() {
     // number isolates the kernel, not allocation. I16 halves the resident
     // table; whether it also wins wall-clock at a cache-resident 8000×d
     // scale is exactly what this pair records honestly.
-    let trig8_i16 = model8.entity_trig_with(Precision::I16);
+    let trig8_i16 = EntityTrig::new(model8.entity_table(), 0..g8.n_entities(), Precision::I16);
     let mut qscores = Vec::new();
     let ns_q_f32 = median_ns(samples, iters, || {
         for q in &group8 {
@@ -540,7 +541,7 @@ fn main() {
     let ns_tsv_boot = median_ns(boot_samples, 1, || {
         let g = halk_kg::tsv::load(&tsv_path).expect("tsv boot: graph");
         let m = HalkModel::load(&g, &model_dir).expect("tsv boot: model");
-        let sharded = m.entity_shards_with(boot_shards, Precision::F32);
+        let sharded = m.entity_shards(boot_shards);
         black_box((g, m, sharded));
     });
     println!("tsv_boot_8000            {ns_tsv_boot:>12.0} ns/op   (1 iters/sample)");

@@ -8,7 +8,7 @@
 //!            [--keep-checkpoints K] [--resume FILE]
 //! halk ask   --graph graph.tsv --sparql 'SELECT ?x WHERE { e:0 r:0 ?x . }'
 //!            [--model model_dir] [--engine exact|halk|match] [--top N]
-//! halk serve --graph graph.tsv | --snapshot file.snap [--precision f32|i16|i8] ...
+//! halk serve --graph graph.tsv | --snapshot file.snap [--precision f32|i16] ...
 //! halk snapshot build   --graph graph.tsv --model model_dir --out file.snap
 //! halk snapshot inspect --snap file.snap
 //! halk help
@@ -199,10 +199,10 @@ USAGE:
                                       pass (default 16; must be >= 1)
              [--snapshot FILE]        boot from a binary snapshot instead
                                       of --graph/--model (fast cold start)
-             [--precision f32|i16|i8] trig table storage precision
-                                      (f32 = bit-exact default; i16/i8
-                                      shrink resident bytes 2x/4x and
-                                      preserve ranks — DESIGN.md §14)
+             [--precision f32|i16]    trig table storage precision
+                                      (f32 = bit-exact default; i16
+                                      halves resident bytes and
+                                      preserves ranks — DESIGN.md §14)
              [--obs-addr HOST:PORT]   serve GET /metrics, /metrics.json
                                       and /healthz on a dedicated thread
                                       (DESIGN.md §16; port 0 = OS-picked,

@@ -48,7 +48,7 @@
 use crate::model::HalkModel;
 use crate::qmodel::{QueryModel, ScoreCache};
 use crate::scorer::{ArcScorer, Precision};
-use crate::shard::ShardedTrig;
+use crate::shard::{ArcShards, ShardedTrig};
 use halk_logic::plan::{PlanCache, PlanShape};
 use halk_logic::Query;
 use halk_par::Pool;
@@ -268,28 +268,9 @@ impl Executor {
         self.shards
     }
 
-    /// Overrides the shard count, dropping any resident sharded tables.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards;
-        self.invalidate();
-    }
-
     /// The trig storage precision of the executor's sharded tables.
     pub fn precision(&self) -> Precision {
         self.precision
-    }
-
-    /// Overrides the precision, dropping any resident sharded tables.
-    pub fn set_precision(&mut self, precision: Precision) {
-        self.precision = precision;
-        self.invalidate();
-    }
-
-    /// Drops every resident cache (next access rebuilds).
-    pub fn invalidate(&self) {
-        let mut st = self.cache.lock().expect("exec cache");
-        st.score = None;
-        st.sharded = None;
     }
 
     /// The model's scoring cache for its *current* parameter state, built
@@ -335,7 +316,9 @@ impl Executor {
             self.shards
         }
         .max(1);
-        let built = Arc::new(model.entity_shards_with(shards, self.precision));
+        let table = model.entity_table();
+        let parts = ArcShards::new(table.rows, shards);
+        let built = Arc::new(ShardedTrig::new(table, &parts, self.precision));
         halk_obs::counter!("halk_exec_cache_builds_total").inc();
         halk_obs::windowed_counter!("halk_exec_cache_builds_total").inc();
         st.sharded = Some(built.clone());

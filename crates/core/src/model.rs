@@ -26,14 +26,13 @@
 use crate::arcvar::{chord, clamp, g_squash, ArcVar};
 use crate::config::{Ablation, DistanceMode, HalkConfig};
 use crate::exec::{ExecConfig, Executor};
-use crate::scorer::{ArcScorer, EntityTrig, Precision, SCORE_SLICE};
-use crate::shard::{sharded_top_k, ArcShards, ShardedTopK, ShardedTrig};
+use crate::scorer::{ArcScorer, EntityTrig, Precision};
+use crate::shard::{ArcShards, ShardedTrig};
 use halk_geometry::Arc;
 use halk_kg::{EntityId, Graph, Grouping, RelationId};
 use halk_logic::plan::{PlanBindings, PlanCache, PlanMasks, PlanOp, PlanShape};
 use halk_logic::Query;
 use halk_nn::{Act, GradBuffer, Mlp, ParamId, ParamStore, Tape, Tensor, Var};
-use halk_obs::Deadline;
 use halk_par::Pool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -661,31 +660,13 @@ impl HalkModel {
         ArcScorer::from_arcs(&branches, self.cfg.rho, self.cfg.eta, self.cfg.distance)
     }
 
-    /// Precomputed half-angle trig of the current entity table. Valid until
-    /// the next training step moves the table; reuse it across queries to
-    /// amortize the per-entity trig (the pruning engine does this).
+    /// Precomputed full-precision half-angle trig of the current entity
+    /// table. Valid until the next training step moves the table; reuse it
+    /// across queries to amortize the per-entity trig (evaluation's
+    /// [`crate::qmodel::QueryModel::score_cache`] does this).
     pub fn entity_trig(&self) -> EntityTrig {
-        EntityTrig::new(self.store.value(self.ent_center))
-    }
-
-    /// [`HalkModel::entity_trig`] at an explicit storage [`Precision`] —
-    /// the serving-side memory-diet knob. `Precision::F32` is bit-identical
-    /// to [`HalkModel::entity_trig`]; quantized modes preserve ranks, not
-    /// bits (see [`Precision`] and DESIGN.md §14).
-    pub fn entity_trig_with(&self, precision: Precision) -> EntityTrig {
-        EntityTrig::with_precision(self.store.value(self.ent_center), precision)
-    }
-
-    /// Trig of a contiguous row range only — `O(len · dim)` instead of the
-    /// full-table sweep. Snapshot decoding uses this to spot-check a stored
-    /// trig table against the model it claims to belong to without paying
-    /// the full rebuild the snapshot exists to avoid.
-    pub fn entity_trig_rows_with(
-        &self,
-        rows: std::ops::Range<usize>,
-        precision: Precision,
-    ) -> EntityTrig {
-        EntityTrig::from_rows_with(self.store.value(self.ent_center), rows, precision)
+        let table = self.store.value(self.ent_center);
+        EntityTrig::new(table, 0..table.rows, Precision::F32)
     }
 
     /// Distance from every entity to the query region — the online scoring
@@ -694,100 +675,26 @@ impl HalkModel {
     /// [`ArcScorer`] kernel; [`HalkModel::score_all_scalar`] is the
     /// reference implementation it is tested against.
     pub fn score_all(&self, query: &Query) -> Vec<f32> {
-        self.scorer_for(query).score_all(&self.entity_trig())
+        let mut out = Vec::new();
+        self.score_all_with(&self.entity_trig(), query, &mut out);
+        out
     }
 
     /// [`HalkModel::score_all`] against a caller-held [`EntityTrig`],
-    /// writing into a reusable output buffer. Batch callers (pruning,
-    /// evaluation sweeps) build the trig once per table state.
+    /// writing into a reusable output buffer. Batch callers (evaluation
+    /// sweeps) build the trig once per table state.
     pub fn score_all_with(&self, trig: &EntityTrig, query: &Query, out: &mut Vec<f32>) {
         self.scorer_for(query).score_into(trig, out);
     }
 
-    /// Entity-sharded [`HalkModel::score_all_with`]: splits the entity range
-    /// into fixed-size slices scored on `pool`'s workers. Slice boundaries
-    /// depend only on the entity count — never on the thread count — and
-    /// each entity's score is computed independently, so output is
-    /// bit-identical to the sequential path at any parallelism.
-    pub fn score_all_with_par(
-        &self,
-        pool: Pool,
-        trig: &EntityTrig,
-        query: &Query,
-        out: &mut Vec<f32>,
-    ) {
-        let scorer = self.scorer_for(query);
-        out.clear();
-        out.resize(trig.n_entities(), f32::INFINITY);
-        if pool.is_sequential() {
-            scorer.score_slice(trig, 0, out);
-            return;
-        }
-        pool.par_chunks_mut(out, SCORE_SLICE, |ci, chunk| {
-            scorer.score_slice(trig, ci * SCORE_SLICE, chunk);
-        });
-    }
-
-    /// [`HalkModel::score_all_with`] under a [`Deadline`], checked at
-    /// 1024-row slice boundaries (the same slice size as the parallel
-    /// sweep). Returns the number of entity rows scored before the deadline
-    /// hit; the scored prefix of `out` is bit-identical to the same rows of
-    /// the undeadlined path, and rows past the prefix stay `f32::INFINITY`.
-    /// A serving layer uses the prefix for a partial-but-correct top-k with
-    /// a `truncated` flag instead of blocking past its budget.
-    pub fn score_all_until(
-        &self,
-        trig: &EntityTrig,
-        query: &Query,
-        out: &mut Vec<f32>,
-        deadline: &Deadline,
-    ) -> usize {
-        let scorer = self.scorer_for(query);
-        out.clear();
-        out.resize(trig.n_entities(), f32::INFINITY);
-        scorer.score_until(trig, 0, out, SCORE_SLICE, deadline)
-    }
-
-    /// Shard-local trig tables for the current entity table under a
-    /// balanced `n_shards`-way arc partition. Like
-    /// [`HalkModel::entity_trig`], valid until the next training step;
-    /// build once per model snapshot and share across queries.
+    /// Full-precision shard-local trig tables for the current entity table
+    /// under a balanced `n_shards`-way arc partition — the input of
+    /// [`crate::shard::sharded_top_k`]. Like [`HalkModel::entity_trig`],
+    /// valid until the next training step; build once per model snapshot
+    /// and share across queries.
     pub fn entity_shards(&self, n_shards: usize) -> ShardedTrig {
         let table = self.store.value(self.ent_center);
-        ShardedTrig::new(table, &ArcShards::new(table.rows, n_shards))
-    }
-
-    /// [`HalkModel::entity_shards`] at an explicit storage [`Precision`].
-    pub fn entity_shards_with(&self, n_shards: usize, precision: Precision) -> ShardedTrig {
-        let table = self.store.value(self.ent_center);
-        ShardedTrig::with_precision(table, &ArcShards::new(table.rows, n_shards), precision)
-    }
-
-    /// Streaming sharded top-k for one query: per-shard bounded heaps fanned
-    /// out over `pool`, merged by rank — never materializing the full score
-    /// vector. Returns the top-`k` `(entity, score)` pairs in ascending rank
-    /// order plus the rows scored before `deadline` (the union of per-shard
-    /// prefixes; `n_entities` when the deadline never fires). The selection
-    /// and scores are bit-identical to [`HalkModel::score_all`] followed by
-    /// [`crate::top_k_indices`].
-    pub fn top_k_sharded(
-        &self,
-        pool: &Pool,
-        sharded: &ShardedTrig,
-        query: &Query,
-        k: usize,
-        deadline: &Deadline,
-    ) -> ShardedTopK {
-        let scorer = self.scorer_for(query);
-        sharded_top_k(
-            pool,
-            sharded,
-            std::slice::from_ref(&scorer),
-            &[k],
-            &[deadline],
-        )
-        .pop()
-        .expect("one query in, one result out")
+        ShardedTrig::new(table, &ArcShards::new(table.rows, n_shards), Precision::F32)
     }
 
     /// Compiles a *group* of same-skeleton queries into per-query

@@ -7,41 +7,39 @@
 //! large online-time reduction (Fig. 6a).
 
 use crate::model::HalkModel;
-use crate::scorer::TopK;
+use crate::shard::{sharded_top_k, ShardedTopK};
 use halk_kg::{EntityId, Graph};
 use halk_logic::Query;
 use halk_obs::Deadline;
-use std::cell::RefCell;
 
-thread_local! {
-    /// Pooled per-thread selection scratch: the bounded heap plus its
-    /// sorted drain buffer, reused across calls so the pruning hot path
-    /// (hit on every served query) allocates nothing in steady state —
-    /// previously each call built a fresh `n_entities` score vector *and*
-    /// an `n_entities` index vector for the argsort.
-    static TOPK_SCRATCH: RefCell<(TopK, Vec<(u32, f32)>)> =
-        RefCell::new((TopK::new(0), Vec::new()));
+/// The top-`k` entities of every query in one group call of the sharded
+/// top-k sweep, over the model executor's resident trig table (built once
+/// per parameter state, not per call).
+fn top_k_group(model: &HalkModel, queries: &[&Query], k: usize) -> Vec<ShardedTopK> {
+    let scorers: Vec<_> = queries.iter().map(|q| model.scorer_for(q)).collect();
+    let never = Deadline::never();
+    sharded_top_k(
+        &model.pool(),
+        &model.executor().sharded_trig(model),
+        &scorers,
+        &vec![k; queries.len()],
+        &vec![&never; queries.len()],
+    )
 }
 
 /// Top-`k` entity candidates for *one* query node, by embedding distance.
-/// Streams the entity table through a pooled bounded heap; the selection is
-/// bit-identical to the full-vector `score_all` + `top_k_indices` path.
+/// The selection is bit-identical to the full-vector `score_all` +
+/// `top_k_indices` path.
 pub fn top_k_candidates(model: &HalkModel, query: &Query, k: usize) -> Vec<EntityId> {
-    let trig = model.entity_trig();
-    let scorer = model.scorer_for(query);
-    TOPK_SCRATCH.with(|cell| {
-        let (heap, drain) = &mut *cell.borrow_mut();
-        heap.reset(k);
-        scorer.top_k_until(&trig, 0, heap, &Deadline::never());
-        heap.drain_sorted_into(drain);
-        drain.iter().map(|&(i, _)| EntityId(i)).collect()
-    })
+    let (hits, _) = top_k_group(model, &[query], k)
+        .pop()
+        .expect("one query in, one result out");
+    hits.iter().map(|&(i, _)| EntityId(i)).collect()
 }
 
 /// The candidate node set `S`: top-`k` candidates of every variable node of
-/// the computation tree (every sub-query root), plus all anchors. The
-/// entity-table trig and the score buffer are built once and shared across
-/// every sub-query.
+/// the computation tree (every sub-query root), plus all anchors. All
+/// sub-queries are scored in one sweep over the entity table.
 pub fn candidate_set(model: &HalkModel, query: &Query, k: usize) -> Vec<EntityId> {
     let mut keep = vec![false; model.n_entities()];
     // Anchors are always part of the induced graph.
@@ -55,20 +53,12 @@ pub fn candidate_set(model: &HalkModel, query: &Query, k: usize) -> Vec<EntityId
             subqueries.push(q.clone());
         }
     });
-    let trig = model.entity_trig();
-    TOPK_SCRATCH.with(|cell| {
-        let (heap, drain) = &mut *cell.borrow_mut();
-        for sub in &subqueries {
-            heap.reset(k);
-            model
-                .scorer_for(sub)
-                .top_k_until(&trig, 0, heap, &Deadline::never());
-            heap.drain_sorted_into(drain);
-            for &(e, _) in drain.iter() {
-                keep[e as usize] = true;
-            }
+    let refs: Vec<&Query> = subqueries.iter().collect();
+    for (hits, _) in top_k_group(model, &refs, k) {
+        for (e, _) in hits {
+            keep[e as usize] = true;
         }
-    });
+    }
     keep.iter()
         .enumerate()
         .filter(|&(_, &k)| k)
@@ -137,6 +127,50 @@ mod tests {
         // Deeper query has more variable nodes → at least as many candidates.
         assert!(s2.len() >= s1.len());
         assert!(s1.len() <= 11); // 10 candidates + anchor
+    }
+
+    #[test]
+    fn candidates_equal_the_full_vector_reference_at_1_and_4_threads() {
+        // Three score slices, so 4 threads (4 shards) split the table.
+        let cfg = SynthConfig {
+            n_entities: 3000,
+            ..SynthConfig::fb237_like()
+        };
+        let g = generate(&cfg, &mut StdRng::seed_from_u64(50));
+        let t = g.triples()[0];
+        let q = Query::Intersection(vec![
+            Query::atom(t.h, t.r).project(RelationId(0)),
+            Query::atom(t.h, RelationId(1)),
+        ]);
+        let reference = |model: &HalkModel, q: &Query| -> Vec<EntityId> {
+            crate::top_k_indices(&model.score_all(q), 20)
+                .into_iter()
+                .map(EntityId)
+                .collect()
+        };
+        let mut nodes: Vec<Query> = Vec::new();
+        q.visit(&mut |n| {
+            if !matches!(n, Query::Anchor(_)) {
+                nodes.push(n.clone());
+            }
+        });
+        assert_eq!(nodes.len(), 4);
+        for threads in [1, 4] {
+            let mut model = HalkModel::new(&g, HalkConfig::tiny());
+            model.set_threads(threads);
+            let mut want = q.anchors();
+            for node in &nodes {
+                want.extend(reference(&model, node));
+            }
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(candidate_set(&model, &q, 20), want, "{threads} threads");
+            assert_eq!(
+                top_k_candidates(&model, &nodes[1], 20),
+                reference(&model, &nodes[1]),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

@@ -18,9 +18,16 @@
 //! turns into SIMD. The scalar reference path
 //! ([`HalkModel::score_all_scalar`]) is kept for equivalence tests and the
 //! regression bench; proptests pin agreement to 1e-4 across all
-//! [`DistanceMode`]s (see `tests/scorer_equivalence.rs`).
+//! [`DistanceMode`]s (see `tests/hotpath_equivalence.rs`).
 //!
 //! [`HalkModel::score_all_scalar`]: crate::model::HalkModel::score_all_scalar
+//!
+//! There are exactly two ways to score an [`ArcScorer`] against a table:
+//! [`ArcScorer::score_into`] fills the full score vector (evaluation, the
+//! scalar-reference tests), and [`crate::shard::sharded_top_k`] streams
+//! [`SCORE_SLICE`]-row slices into bounded [`TopK`] heaps (serving,
+//! pruning). Both run the same per-slice kernel, so their scores agree
+//! bit for bit.
 //!
 //! [`BoxScorer`] and [`L1Scorer`] give the interval/point baselines the same
 //! SoA treatment (their geometry needs no trig at all), and
@@ -30,15 +37,14 @@
 use crate::config::DistanceMode;
 use halk_geometry::Arc;
 use halk_nn::Tensor;
-use halk_obs::Deadline;
 use serde::{Deserialize, Serialize};
 
-/// The fixed scoring-slice size shared by every sweep over the entity
-/// table: the parallel `par_chunks_mut` sweep, the deadline-checked
-/// `score_until` loop and the streaming [`ArcScorer::top_k_until`] path
-/// all quantize work in rows of this many entities. Slice boundaries
-/// depend only on the entity count, never on thread or shard counts, so
-/// every partition of the table scores bit-identically.
+/// The fixed scoring-slice size of the sharded top-k sweep
+/// ([`crate::shard::sharded_top_k`]): shards are aligned to it, deadlines
+/// are checked once per slice, and each slice is scored into a stack
+/// scratch of this many rows. Slice boundaries depend only on the entity
+/// count, never on thread or shard counts, so every partition of the table
+/// scores bit-identically.
 pub const SCORE_SLICE: usize = 1024;
 
 /// Storage precision of the precomputed entity-trig working set — the
@@ -62,10 +68,6 @@ pub enum Precision {
     /// error 1.6e-5, which preserves MRR/H@k to well under the 1e-3
     /// equivalence gate on the seed eval.
     I16,
-    /// 8-bit fixed point (scale 127) — experimental. Quarters resident
-    /// bytes; per-coordinate error up to 4e-3, enough to reorder
-    /// near-tied entities. Not covered by the rank-equivalence gate.
-    I8,
 }
 
 impl Precision {
@@ -74,16 +76,14 @@ impl Precision {
         match self {
             Precision::F32 => 8,
             Precision::I16 => 4,
-            Precision::I8 => 2,
         }
     }
 
-    /// The CLI / STATS name (`f32`, `i16`, `i8`).
+    /// The CLI / STATS name (`f32`, `i16`).
     pub fn name(self) -> &'static str {
         match self {
             Precision::F32 => "f32",
             Precision::I16 => "i16",
-            Precision::I8 => "i8",
         }
     }
 }
@@ -95,8 +95,7 @@ impl std::str::FromStr for Precision {
         match s {
             "f32" | "exact" => Ok(Precision::F32),
             "i16" | "f16" => Ok(Precision::I16), // `f16` accepted as the colloquial 16-bit name
-            "i8" => Ok(Precision::I8),
-            other => Err(format!("unknown precision '{other}' (f32|i16|i8)")),
+            other => Err(format!("unknown precision '{other}' (f32|i16)")),
         }
     }
 }
@@ -108,16 +107,10 @@ impl std::fmt::Display for Precision {
 }
 
 const I16_SCALE: f32 = 32767.0;
-const I8_SCALE: f32 = 127.0;
 
 #[inline]
 fn quantize_i16(x: f32) -> i16 {
     (x * I16_SCALE).round().clamp(-I16_SCALE, I16_SCALE) as i16
-}
-
-#[inline]
-fn quantize_i8(x: f32) -> i8 {
-    (x * I8_SCALE).round().clamp(-I8_SCALE, I8_SCALE) as i8
 }
 
 /// The trig arrays in one of the [`Precision`] storage modes.
@@ -129,10 +122,6 @@ enum TrigStore {
     I16 {
         half_sin: Vec<i16>,
         half_cos: Vec<i16>,
-    },
-    I8 {
-        half_sin: Vec<i8>,
-        half_cos: Vec<i8>,
     },
 }
 
@@ -149,36 +138,15 @@ pub struct EntityTrig {
 }
 
 impl EntityTrig {
-    /// Precomputes trig for an `n×d` table of entity angles at full
-    /// precision.
-    pub fn new(table: &Tensor) -> Self {
-        Self::from_rows(table, 0..table.rows)
-    }
-
-    /// [`EntityTrig::new`] at an explicit storage precision.
-    pub fn with_precision(table: &Tensor, precision: Precision) -> Self {
-        Self::from_rows_with(table, 0..table.rows, precision)
-    }
-
-    /// Precomputes trig for the contiguous row range `rows` of a table —
-    /// the shard-local constructor: each arc shard owns the trig of its own
-    /// entity range and nothing else, so per-shard memory is bounded by the
-    /// shard size. Entry `i` of the result is row `rows.start + i` of the
-    /// table, element-for-element bit-identical to the same row of a
-    /// whole-table [`EntityTrig::new`].
-    pub fn from_rows(table: &Tensor, rows: std::ops::Range<usize>) -> Self {
-        Self::from_rows_with(table, rows, Precision::F32)
-    }
-
-    /// [`EntityTrig::from_rows`] at an explicit storage precision.
-    /// Quantization is per element, so the range invariant carries over:
-    /// entry `i` equals row `rows.start + i` of a whole-table build at the
-    /// same precision, element for element.
-    pub fn from_rows_with(
-        table: &Tensor,
-        rows: std::ops::Range<usize>,
-        precision: Precision,
-    ) -> Self {
+    /// Precomputes trig for the contiguous row range `rows` of an `n×d`
+    /// table of entity angles, stored at `precision` (`0..table.rows` for
+    /// the whole table). A sub-range is the shard-local build: each arc
+    /// shard owns the trig of its own entity range and nothing else, so
+    /// per-shard memory is bounded by the shard size. Sin/cos and
+    /// quantization are per element, so entry `i` of the result is
+    /// bit-identical to row `rows.start + i` of a whole-table build at the
+    /// same precision.
+    pub fn new(table: &Tensor, rows: std::ops::Range<usize>, precision: Precision) -> Self {
         assert!(rows.end <= table.rows, "trig row range out of bounds");
         let d = table.cols;
         let data = &table.data[rows.start * d..rows.end * d];
@@ -196,10 +164,6 @@ impl EntityTrig {
                     .iter()
                     .map(|&t| quantize_i16((t * 0.5).cos()))
                     .collect(),
-            },
-            Precision::I8 => TrigStore::I8 {
-                half_sin: data.iter().map(|&t| quantize_i8((t * 0.5).sin())).collect(),
-                half_cos: data.iter().map(|&t| quantize_i8((t * 0.5).cos())).collect(),
             },
         };
         Self {
@@ -224,7 +188,6 @@ impl EntityTrig {
         match self.store {
             TrigStore::F32 { .. } => Precision::F32,
             TrigStore::I16 { .. } => Precision::I16,
-            TrigStore::I8 { .. } => Precision::I8,
         }
     }
 
@@ -272,7 +235,7 @@ impl EntityTrig {
 
     /// Re-slices rows of a full-precision table into a (possibly
     /// quantized) shard table. Quantization applies the same per-element
-    /// mapping as [`EntityTrig::from_rows_with`] to the same stored f32
+    /// mapping as [`EntityTrig::new`] to the same stored f32
     /// values, so the result is element-for-element bit-identical to
     /// building the shard from the angle table directly — that equality is
     /// what lets a snapshot-booted server serve the same bits as a
@@ -301,10 +264,6 @@ impl EntityTrig {
                 half_sin: sin.iter().map(|&v| quantize_i16(v)).collect(),
                 half_cos: cos.iter().map(|&v| quantize_i16(v)).collect(),
             },
-            Precision::I8 => TrigStore::I8 {
-                half_sin: sin.iter().map(|&v| quantize_i8(v)).collect(),
-                half_cos: cos.iter().map(|&v| quantize_i8(v)).collect(),
-            },
         };
         Self {
             store,
@@ -323,10 +282,6 @@ impl EntityTrig {
                 half_sin[j] as f32 * (1.0 / I16_SCALE),
                 half_cos[j] as f32 * (1.0 / I16_SCALE),
             ),
-            TrigStore::I8 { half_sin, half_cos } => (
-                half_sin[j] as f32 * (1.0 / I8_SCALE),
-                half_cos[j] as f32 * (1.0 / I8_SCALE),
-            ),
         }
     }
 }
@@ -343,9 +298,7 @@ impl EntityTrig {
 /// therefore yields *bit-identically* the same selection as
 /// `top_k_indices`, in any offer order and under any partition of the rows
 /// (distinct indices make the total order strict, so the k-smallest set is
-/// unique). The backing buffer is reusable via [`TopK::reset`], so pooled
-/// callers (the pruning engine, the serve workers) allocate nothing per
-/// query in steady state.
+/// unique).
 #[derive(Debug, Clone)]
 pub struct TopK {
     k: usize,
@@ -366,13 +319,6 @@ impl TopK {
             k,
             heap: Vec::with_capacity(k.min(4096)),
         }
-    }
-
-    /// Clears the accumulator for a new sweep with bound `k`, keeping the
-    /// backing allocation.
-    pub fn reset(&mut self, k: usize) {
-        self.k = k;
-        self.heap.clear();
     }
 
     /// The configured bound.
@@ -421,21 +367,11 @@ impl TopK {
         }
     }
 
-    /// Drains the kept entries into `out` (cleared first) in ascending rank
-    /// order — the order [`top_k_indices`] returns — keeping both
-    /// allocations for reuse.
-    pub fn drain_sorted_into(&mut self, out: &mut Vec<(u32, f32)>) {
-        self.heap.sort_unstable_by(|&a, &b| rank_cmp(a, b));
-        out.clear();
-        out.extend(self.heap.iter().map(|&(s, i)| (i, s)));
-        self.heap.clear();
-    }
-
-    /// The kept entries in ascending rank order, consuming the accumulator.
+    /// The kept entries in ascending rank order — the order
+    /// [`top_k_indices`] returns — consuming the accumulator.
     pub fn into_sorted(mut self) -> Vec<(u32, f32)> {
-        let mut out = Vec::new();
-        self.drain_sorted_into(&mut out);
-        out
+        self.heap.sort_unstable_by(|&a, &b| rank_cmp(a, b));
+        self.heap.into_iter().map(|(s, i)| (i, s)).collect()
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -581,7 +517,7 @@ impl ArcScorer {
     /// plain score). Rows are scored independently, so any partition of the
     /// entity range — including the sharded parallel sweep — produces
     /// bit-identical results to one full-table pass.
-    pub fn score_slice(&self, trig: &EntityTrig, row0: usize, out: &mut [f32]) {
+    pub(crate) fn score_slice(&self, trig: &EntityTrig, row0: usize, out: &mut [f32]) {
         assert_eq!(trig.dim, self.dim, "entity/query dimensionality mismatch");
         assert!(
             row0 + out.len() <= trig.n_entities,
@@ -592,79 +528,6 @@ impl ArcScorer {
             DistanceMode::CenterAnchored => self.score_table::<MODE_CENTER>(trig, row0, out),
             DistanceMode::ZeroedInside => self.score_table::<MODE_ZEROED>(trig, row0, out),
         }
-    }
-
-    /// [`ArcScorer::score_slice`] under a [`Deadline`], checked once per
-    /// `slice_rows` rows (the slice boundary — never per entity, so the
-    /// inner kernel stays branch-free). Returns the number of rows scored,
-    /// always a multiple of `slice_rows` except at the end of the table;
-    /// rows beyond it are untouched. Scored prefixes are bit-identical to
-    /// the same rows of a full [`ArcScorer::score_slice`] pass, because
-    /// rows are scored independently.
-    pub fn score_until(
-        &self,
-        trig: &EntityTrig,
-        row0: usize,
-        out: &mut [f32],
-        slice_rows: usize,
-        deadline: &Deadline,
-    ) -> usize {
-        let slice_rows = slice_rows.max(1);
-        let mut done = 0;
-        while done < out.len() {
-            if deadline.expired() {
-                return done;
-            }
-            let n = slice_rows.min(out.len() - done);
-            self.score_slice(trig, row0 + done, &mut out[done..done + n]);
-            done += n;
-        }
-        done
-    }
-
-    /// Streaming bounded top-k over the rows of `trig` under a
-    /// [`Deadline`]: scores [`SCORE_SLICE`]-row slices into a small stack
-    /// scratch and offers each row into `heap`, never materializing a
-    /// full score vector. `global_row0` is the table-global index of
-    /// `trig`'s first row (the shard offset), so offered indices are
-    /// table-global. Returns the number of rows scored; the deadline is
-    /// checked once per slice like [`ArcScorer::score_until`].
-    ///
-    /// Offering rows through a [`TopK`] selects bit-identically the same
-    /// entries as [`top_k_indices`] over a full score vector (see the
-    /// [`TopK`] ordering contract), so shard-local sweeps merged by
-    /// [`TopK::absorb`] reproduce the full-vector reference exactly.
-    pub fn top_k_until(
-        &self,
-        trig: &EntityTrig,
-        global_row0: usize,
-        heap: &mut TopK,
-        deadline: &Deadline,
-    ) -> usize {
-        let n = trig.n_entities;
-        let mut scratch = [0.0f32; SCORE_SLICE];
-        let mut done = 0;
-        while done < n {
-            if deadline.expired() {
-                return done;
-            }
-            let take = SCORE_SLICE.min(n - done);
-            let out = &mut scratch[..take];
-            out.fill(f32::INFINITY); // score_slice min-folds into `out`
-            self.score_slice(trig, done, out);
-            for (j, &s) in out.iter().enumerate() {
-                heap.offer((global_row0 + done + j) as u32, s);
-            }
-            done += take;
-        }
-        done
-    }
-
-    /// Convenience wrapper over [`ArcScorer::score_into`].
-    pub fn score_all(&self, trig: &EntityTrig) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.score_into(trig, &mut out);
-        out
     }
 
     /// Scores only the rows `ids` of an angle table (the LSH candidate
@@ -707,10 +570,7 @@ impl ArcScorer {
                 }
             }
             TrigStore::I16 { half_sin, half_cos } => {
-                self.score_quantized::<MODE, _>(half_sin, half_cos, 1.0 / I16_SCALE, row0, out)
-            }
-            TrigStore::I8 { half_sin, half_cos } => {
-                self.score_quantized::<MODE, _>(half_sin, half_cos, 1.0 / I8_SCALE, row0, out)
+                self.score_quantized::<MODE>(half_sin, half_cos, row0, out)
             }
         }
     }
@@ -720,11 +580,10 @@ impl ArcScorer {
     /// both autovectorize) and then scored by the same branch-free kernel
     /// as the `f32` path, so the decode cost amortizes over all DNF
     /// branches of the query.
-    fn score_quantized<const MODE: u8, Q: Copy + Into<f32>>(
+    fn score_quantized<const MODE: u8>(
         &self,
-        half_sin: &[Q],
-        half_cos: &[Q],
-        inv_scale: f32,
+        half_sin: &[i16],
+        half_cos: &[i16],
         row0: usize,
         out: &mut [f32],
     ) {
@@ -735,8 +594,8 @@ impl ArcScorer {
         let rows_c = half_cos[row0 * d..].chunks_exact(d);
         for ((qs, qc), slot) in rows_s.zip(rows_c).zip(out.iter_mut()) {
             for j in 0..d {
-                sh[j] = qs[j].into() * inv_scale;
-                ch[j] = qc[j].into() * inv_scale;
+                sh[j] = f32::from(qs[j]) * (1.0 / I16_SCALE);
+                ch[j] = f32::from(qc[j]) * (1.0 / I16_SCALE);
             }
             *slot = slot.min(self.score_row::<MODE>(&sh, &ch));
         }
@@ -897,7 +756,40 @@ pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{sharded_top_k, ArcShards, ShardedTopK, ShardedTrig};
     use halk_geometry::TAU;
+    use halk_obs::Deadline;
+    use halk_par::Pool;
+
+    fn trig(table: &Tensor, precision: Precision) -> EntityTrig {
+        EntityTrig::new(table, 0..table.rows, precision)
+    }
+
+    fn score_all(scorer: &ArcScorer, trig: &EntityTrig) -> Vec<f32> {
+        let mut out = Vec::new();
+        scorer.score_into(trig, &mut out);
+        out
+    }
+
+    /// One sweep of the single-shard sharded top-k over `table`.
+    fn top_k(
+        scorer: &ArcScorer,
+        table: &Tensor,
+        precision: Precision,
+        k: usize,
+        deadline: &Deadline,
+    ) -> ShardedTopK {
+        let sharded = ShardedTrig::new(table, &ArcShards::new(table.rows, 1), precision);
+        sharded_top_k(
+            &Pool::new(1),
+            &sharded,
+            std::slice::from_ref(scorer),
+            &[k],
+            &[deadline],
+        )
+        .pop()
+        .expect("one query in, one result out")
+    }
 
     fn scalar_score(arcs: &[Vec<Arc>], theta: &[f32], eta: f32, mode: DistanceMode) -> f32 {
         arcs.iter()
@@ -941,14 +833,14 @@ mod tests {
             data.push((i as f32 * 0.77 + 1.3) % TAU);
         }
         let table = Tensor::from_vec(n, 2, data);
-        let trig = EntityTrig::new(&table);
+        let trig = trig(&table, Precision::F32);
         for mode in [
             DistanceMode::LiteralEq16,
             DistanceMode::CenterAnchored,
             DistanceMode::ZeroedInside,
         ] {
             let scorer = ArcScorer::from_arcs(&arcs, rho, eta, mode);
-            let fast = scorer.score_all(&trig);
+            let fast = score_all(&scorer, &trig);
             for (e, &got) in fast.iter().enumerate() {
                 let want = scalar_score(&arcs, table.row(e), eta, mode);
                 assert!(
@@ -965,7 +857,7 @@ mod tests {
         let arcs = grid_arcs(rho);
         let table = Tensor::from_vec(4, 2, vec![0.1, 0.2, 3.0, 4.0, 5.5, 0.9, 2.2, 2.3]);
         let scorer = ArcScorer::from_arcs(&arcs, rho, 0.1, DistanceMode::CenterAnchored);
-        let full = scorer.score_all(&EntityTrig::new(&table));
+        let full = score_all(&scorer, &trig(&table, Precision::F32));
         let mut subset = Vec::new();
         scorer.score_rows_into(&table, &[3, 0, 2], &mut subset);
         assert_eq!(subset, vec![full[3], full[0], full[2]]);
@@ -975,7 +867,7 @@ mod tests {
     fn empty_branches_score_infinity() {
         let scorer = ArcScorer::from_arcs(&[], 1.0, 0.1, DistanceMode::LiteralEq16);
         let table = Tensor::from_vec(2, 0, vec![]);
-        let out = scorer.score_all(&EntityTrig::new(&table));
+        let out = score_all(&scorer, &trig(&table, Precision::F32));
         assert_eq!(out, vec![f32::INFINITY; 2]);
     }
 
@@ -1019,7 +911,7 @@ mod tests {
     }
 
     #[test]
-    fn score_until_prefix_is_bit_identical_and_stops_on_expiry() {
+    fn slice_prefix_is_bit_identical_and_sweep_stops_on_expiry() {
         use halk_obs::Clock;
         let rho = 1.0;
         let arcs = grid_arcs(rho);
@@ -1030,34 +922,35 @@ mod tests {
             data.push((i as f32 * 0.77 + 1.3) % TAU);
         }
         let table = Tensor::from_vec(n, 2, data);
-        let trig = EntityTrig::new(&table);
+        let trig = trig(&table, Precision::F32);
         let scorer = ArcScorer::from_arcs(&arcs, rho, 0.05, DistanceMode::LiteralEq16);
-        let full = scorer.score_all(&trig);
+        let full = score_all(&scorer, &trig);
 
-        // Unarmed deadline: everything scored, bit-identical to score_all.
-        let mut out = vec![f32::INFINITY; n];
-        let done = scorer.score_until(&trig, 0, &mut out, 16, &Deadline::never());
+        // Unarmed deadline: everything scored, bit-identical to score_into.
+        let (hits, done) = top_k(&scorer, &table, Precision::F32, n, &Deadline::never());
         assert_eq!(done, n);
+        let mut out = vec![f32::INFINITY; n];
+        for (i, s) in hits {
+            out[i as usize] = s;
+        }
         assert!(full
             .iter()
             .zip(&out)
             .all(|(a, b)| a.to_bits() == b.to_bits()));
 
         // An expired mock deadline stops at the first slice boundary:
-        // zero rows scored, the buffer untouched.
+        // zero rows scored, nothing kept.
         let (clock, now) = Clock::mock();
         let d = Deadline::at_ns(&clock, 1);
         now.store(5, std::sync::atomic::Ordering::SeqCst);
-        let mut partial = vec![f32::INFINITY; n];
-        assert_eq!(scorer.score_until(&trig, 0, &mut partial, 16, &d), 0);
-        assert!(partial.iter().all(|s| s.is_infinite()));
+        let (partial, done) = top_k(&scorer, &table, Precision::F32, n, &d);
+        assert_eq!(done, 0);
+        assert!(partial.is_empty());
 
-        // Partial run resumed from row `done` equals the full pass.
+        // Two half-table slices equal the full pass.
         let mut halves = vec![f32::INFINITY; n];
-        let first = scorer.score_until(&trig, 0, &mut halves[..n / 2], 16, &Deadline::never());
-        assert_eq!(first, n / 2);
-        let second = scorer.score_until(&trig, n / 2, &mut halves[n / 2..], 16, &Deadline::never());
-        assert_eq!(second, n / 2);
+        scorer.score_slice(&trig, 0, &mut halves[..n / 2]);
+        scorer.score_slice(&trig, n / 2, &mut halves[n / 2..]);
         assert!(full
             .iter()
             .zip(&halves)
@@ -1075,7 +968,7 @@ mod tests {
     }
 
     #[test]
-    fn topk_heap_matches_reference_with_ties_and_reuse() {
+    fn topk_heap_matches_reference_with_ties() {
         let scores = vec![3.0, 1.0, 2.0, 1.0, 0.5, 2.0, 9.0, 1.0];
         for k in [0, 1, 4, scores.len(), scores.len() + 5] {
             let mut heap = TopK::new(k);
@@ -1085,17 +978,6 @@ mod tests {
             let got: Vec<u32> = heap.into_sorted().iter().map(|&(i, _)| i).collect();
             assert_eq!(got, top_k_indices(&scores, k), "k={k}");
         }
-        // reset() keeps the buffer but clears state and changes the bound.
-        let mut heap = TopK::new(2);
-        heap.offer(0, 1.0);
-        heap.reset(3);
-        for (i, &s) in scores.iter().enumerate() {
-            heap.offer(i as u32, s);
-        }
-        let mut out = Vec::new();
-        heap.drain_sorted_into(&mut out);
-        assert_eq!(out.iter().map(|&(i, _)| i).collect::<Vec<_>>(), [4, 1, 3]);
-        assert!(heap.is_empty());
     }
 
     #[test]
@@ -1118,9 +1000,9 @@ mod tests {
     #[test]
     fn trig_from_rows_matches_full_table() {
         let table = Tensor::from_vec(4, 2, vec![0.1, 0.2, 3.0, 4.0, 5.5, 0.9, 2.2, 2.3]);
-        for p in [Precision::F32, Precision::I16, Precision::I8] {
-            let full = EntityTrig::with_precision(&table, p);
-            let part = EntityTrig::from_rows_with(&table, 1..3, p);
+        for p in [Precision::F32, Precision::I16] {
+            let full = trig(&table, p);
+            let part = EntityTrig::new(&table, 1..3, p);
             assert_eq!(part.n_entities(), 2);
             assert_eq!(part.precision(), p);
             for j in 0..4 {
@@ -1137,19 +1019,11 @@ mod tests {
         assert_eq!("f32".parse::<Precision>().unwrap(), Precision::F32);
         assert_eq!("f16".parse::<Precision>().unwrap(), Precision::I16);
         assert_eq!("i16".parse::<Precision>().unwrap(), Precision::I16);
-        assert_eq!("i8".parse::<Precision>().unwrap(), Precision::I8);
         assert!("f64".parse::<Precision>().is_err());
         assert_eq!(Precision::default(), Precision::F32);
         let table = Tensor::from_vec(4, 2, vec![0.0; 8]);
-        assert_eq!(EntityTrig::new(&table).resident_bytes(), 4 * 2 * 8);
-        assert_eq!(
-            EntityTrig::with_precision(&table, Precision::I16).resident_bytes(),
-            4 * 2 * 4
-        );
-        assert_eq!(
-            EntityTrig::with_precision(&table, Precision::I8).resident_bytes(),
-            4 * 2 * 2
-        );
+        assert_eq!(trig(&table, Precision::F32).resident_bytes(), 4 * 2 * 8);
+        assert_eq!(trig(&table, Precision::I16).resident_bytes(), 4 * 2 * 4);
     }
 
     #[test]
@@ -1165,25 +1039,22 @@ mod tests {
             data.push((i as f32 * 0.77 + 1.3) % TAU);
         }
         let table = Tensor::from_vec(n, d, data);
-        let exact = EntityTrig::new(&table);
+        let exact = trig(&table, Precision::F32);
         for mode in [
             DistanceMode::LiteralEq16,
             DistanceMode::CenterAnchored,
             DistanceMode::ZeroedInside,
         ] {
             let scorer = ArcScorer::from_arcs(&arcs, rho, eta, mode);
-            let want = scorer.score_all(&exact);
+            let want = score_all(&scorer, &exact);
             // Worst-case per-coordinate decode error is 1/(2·scale); each
             // coordinate contributes ≤ 2 decoded values per distance term,
             // so bound the score gap by a small multiple of dims · step
             // (the ZeroedInside containment mask can flip on boundary
             // entities, so skip exact-boundary rows there via the bound).
-            for (p, step) in [
-                (Precision::I16, 0.5 / I16_SCALE),
-                (Precision::I8, 0.5 / I8_SCALE),
-            ] {
-                let q = EntityTrig::with_precision(&table, p);
-                let got = scorer.score_all(&q);
+            for (p, step) in [(Precision::I16, 0.5 / I16_SCALE)] {
+                let q = trig(&table, p);
+                let got = score_all(&scorer, &q);
                 let tol = 2.0 * rho * (d as f32) * 8.0 * step + 1e-5;
                 let mut close = 0;
                 for (e, (&a, &b)) in want.iter().zip(&got).enumerate() {
@@ -1218,14 +1089,12 @@ mod tests {
         }
         let table = Tensor::from_vec(n, 2, data);
         let scorer = ArcScorer::from_arcs(&arcs, rho, 0.05, DistanceMode::CenterAnchored);
-        let exact = scorer.score_all(&EntityTrig::new(&table));
+        let exact = score_all(&scorer, &trig(&table, Precision::F32));
         let want = top_k_indices(&exact, 10);
 
-        let q = EntityTrig::with_precision(&table, Precision::I16);
-        let mut heap = TopK::new(10);
-        let rows = scorer.top_k_until(&q, 0, &mut heap, &Deadline::never());
+        let (hits, rows) = top_k(&scorer, &table, Precision::I16, 10, &Deadline::never());
         assert_eq!(rows, n);
-        let got: Vec<u32> = heap.into_sorted().iter().map(|&(i, _)| i).collect();
+        let got: Vec<u32> = hits.iter().map(|&(i, _)| i).collect();
         assert_eq!(got, want, "i16 top-k order drifted from exact");
     }
 
@@ -1242,15 +1111,12 @@ mod tests {
             data.push((i as f32 * 0.77 + 1.3) % TAU);
         }
         let table = Tensor::from_vec(n, 2, data);
-        let trig = EntityTrig::new(&table);
         let scorer = ArcScorer::from_arcs(&arcs, rho, 0.05, DistanceMode::LiteralEq16);
-        let full = scorer.score_all(&trig);
+        let full = score_all(&scorer, &trig(&table, Precision::F32));
         let want = top_k_indices(&full, 10);
 
-        let mut heap = TopK::new(10);
-        let rows = scorer.top_k_until(&trig, 0, &mut heap, &Deadline::never());
+        let (got, rows) = top_k(&scorer, &table, Precision::F32, 10, &Deadline::never());
         assert_eq!(rows, n);
-        let got = heap.into_sorted();
         assert_eq!(got.len(), want.len());
         for (&w, &(i, s)) in want.iter().zip(&got) {
             assert_eq!(i, w);
@@ -1262,8 +1128,8 @@ mod tests {
         let (clock, now) = Clock::mock();
         let d = Deadline::at_ns(&clock, 1);
         now.store(5, std::sync::atomic::Ordering::SeqCst);
-        let mut h2 = TopK::new(10);
-        assert_eq!(scorer.top_k_until(&trig, 0, &mut h2, &d), 0);
+        let (h2, rows) = top_k(&scorer, &table, Precision::F32, 10, &d);
+        assert_eq!(rows, 0);
         assert!(h2.is_empty());
     }
 }

@@ -2,6 +2,11 @@
 //! circle, each owning its own SoA [`EntityTrig`] slice, scored by a
 //! streaming bounded top-k per shard and merged by the coordinator.
 //!
+//! [`sharded_top_k`] is the one top-k path: serving and §IV-D pruning
+//! both ask it for the best `k` entities, and [`sharded_top_k_timed`] is
+//! its one implementation. (The other way to score is the full score
+//! vector of [`crate::ArcScorer::score_into`], for evaluation.)
+//!
 //! HaLk answers a query by sweeping *every* entity (Paper §IV), so the
 //! naive hot path materializes an `n_entities`-long score vector per
 //! query plus an `n_entities`-long index vector for the argsort. The
@@ -74,7 +79,7 @@ impl ArcShards {
 /// Shard-local trig tables: one SoA [`EntityTrig`] per arc shard, built
 /// once per model snapshot and shared read-only by every query. Entry `i`
 /// of shard `s` is table row `start(s) + i`, bit-identical to the same
-/// row of a whole-table [`EntityTrig::new`].
+/// row of a whole-table [`EntityTrig::new`] at the same precision.
 pub struct ShardedTrig {
     shards: Vec<(usize, EntityTrig)>,
     n_entities: usize,
@@ -82,16 +87,10 @@ pub struct ShardedTrig {
 }
 
 impl ShardedTrig {
-    /// Precomputes per-shard trig for an angle table under `parts` at full
-    /// precision.
-    pub fn new(table: &Tensor, parts: &ArcShards) -> Self {
-        Self::with_precision(table, parts, Precision::F32)
-    }
-
-    /// [`ShardedTrig::new`] at an explicit storage [`Precision`]: every
-    /// shard stores its trig slice in the same quantized format, so the
-    /// per-shard resident bytes shrink by the precision's width ratio.
-    pub fn with_precision(table: &Tensor, parts: &ArcShards, precision: Precision) -> Self {
+    /// Precomputes per-shard trig for an angle table under `parts`, every
+    /// shard stored at `precision` (a quantized format shrinks the
+    /// per-shard resident bytes by its width ratio).
+    pub fn new(table: &Tensor, parts: &ArcShards, precision: Precision) -> Self {
         assert_eq!(parts.n_entities(), table.rows, "shard/table row mismatch");
         // Table builds are the expensive cold-start event; the warm-start
         // test pins that a serving engine performs them at boot, never on
@@ -100,7 +99,7 @@ impl ShardedTrig {
         let shards = (0..parts.n_shards())
             .map(|s| {
                 let r = parts.range(s);
-                (r.start, EntityTrig::from_rows_with(table, r, precision))
+                (r.start, EntityTrig::new(table, r, precision))
             })
             .collect();
         Self {
@@ -113,7 +112,7 @@ impl ShardedTrig {
     /// Builds the sharded tables by re-slicing an already-computed
     /// full-precision [`EntityTrig`] instead of paying the sin/cos sweep —
     /// the snapshot fast-boot path. [`EntityTrig::slice_rows`] guarantees
-    /// each shard is bit-identical to [`ShardedTrig::with_precision`] on
+    /// each shard is bit-identical to [`ShardedTrig::new`] on
     /// the angle table the full trig was built from, at every precision.
     pub fn from_table(full: &EntityTrig, parts: &ArcShards, precision: Precision) -> Self {
         assert_eq!(
@@ -181,9 +180,9 @@ pub type ShardedTopK = (Vec<(u32, f32)>, usize);
 /// pool ([`Pool::par_shards`]); within a shard the sweep is slice-major
 /// over the group so one hot trig slice serves every query before moving
 /// on — the "one kernel pass per shard" of skeleton batching. Deadlines
-/// are checked per query at every slice boundary (exact
-/// [`ArcScorer::score_until`] semantics); an expired query stops scoring
-/// on all shards while the rest of the group continues.
+/// are checked per query at every slice boundary, never per entity; an
+/// expired query stops scoring on all shards while the rest of the group
+/// continues.
 ///
 /// The merged selection is bit-identical to running each query alone on
 /// one shard with the full-vector [`crate::top_k_indices`] reference.
@@ -194,7 +193,7 @@ pub fn sharded_top_k(
     ks: &[usize],
     deadlines: &[&Deadline],
 ) -> Vec<ShardedTopK> {
-    sharded_top_k_tagged(pool, sharded, scorers, ks, deadlines, None)
+    sharded_top_k_timed(pool, sharded, scorers, ks, deadlines, None).0
 }
 
 /// Where a sharded sweep spent its wall time: the parallel per-shard
@@ -208,26 +207,14 @@ pub struct SweepTiming {
     pub merge_us: u64,
 }
 
-/// [`sharded_top_k`] with an optional trace tag: when tracing is enabled,
-/// every shard's sweep opens a `shard_sweep` span whose detail carries the
-/// shard index plus `tag` (serve passes the group's `req=...` ids), so a
-/// request's hop chain extends into the per-shard workers (DESIGN.md §16).
-/// Scoring is unaffected; with tracing off the extra cost is one relaxed
-/// load per shard.
-pub fn sharded_top_k_tagged(
-    pool: &Pool,
-    sharded: &ShardedTrig,
-    scorers: &[ArcScorer],
-    ks: &[usize],
-    deadlines: &[&Deadline],
-    tag: Option<&str>,
-) -> Vec<ShardedTopK> {
-    sharded_top_k_timed(pool, sharded, scorers, ks, deadlines, tag).0
-}
-
-/// [`sharded_top_k_tagged`] that also reports where the wall time went
-/// (score sweep vs. coordinator merge). The timing is observational only —
-/// results are bit-identical to the untimed path.
+/// [`sharded_top_k`] with an optional trace tag that also reports where
+/// the wall time went (score sweep vs. coordinator merge). When tracing is
+/// enabled, every shard's sweep opens a `shard_sweep` span whose detail
+/// carries the shard index plus `tag` (serve passes the group's `req=...`
+/// ids), so a request's hop chain extends into the per-shard workers
+/// (DESIGN.md §16). Tag and timing are observational only — results are
+/// bit-identical to the untimed path; with tracing off the extra cost is
+/// one relaxed load per shard.
 pub fn sharded_top_k_timed(
     pool: &Pool,
     sharded: &ShardedTrig,

@@ -70,9 +70,9 @@ fn scores_match_ast_on_every_structure() {
         for gq in sampler.sample_many(s, 2, &mut rng) {
             let got = model.score_all(&gq.query);
             let branches = model.embed_query_ast(&gq.query);
-            let want =
-                ArcScorer::from_arcs(&branches, model.cfg.rho, model.cfg.eta, model.cfg.distance)
-                    .score_all(&trig);
+            let mut want = Vec::new();
+            ArcScorer::from_arcs(&branches, model.cfg.rho, model.cfg.eta, model.cfg.distance)
+                .score_into(&trig, &mut want);
             assert_eq!(got.len(), want.len());
             for (e, (a, b)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "{s}: entity {e}");

@@ -1,15 +1,16 @@
 //! Rank-metric equivalence gate for quantized scoring (ISSUE 8).
 //!
 //! The exact F32 path is the reference: byte-identical trig, bit-identical
-//! scores. Quantized precisions (I16, I8) store fixed-point trig and are
-//! held to a *rank* contract instead: over a sweep of link-prediction
-//! queries, MRR and Hits@{1,3,10} computed from quantized scores must sit
-//! within 1e-3 of the exact metrics. I16 must pass outright (its per-value
-//! error is ~1.6e-5, far below typical score gaps); I8 is experimental and
-//! asserted at a looser bound so a regression that breaks it entirely
-//! still fails loudly.
+//! scores. The quantized I16 precision stores fixed-point trig and is held
+//! to a *rank* contract instead: over a sweep of link-prediction queries,
+//! MRR and Hits@{1,3,10} computed from quantized scores must sit within
+//! 1e-3 of the exact metrics (its per-value error is ~1.6e-5, far below
+//! typical score gaps).
 
-use halk_core::{HalkConfig, HalkModel, Precision, TrainConfig};
+use halk_core::{
+    sharded_top_k, ArcShards, EntityTrig, HalkConfig, HalkModel, Precision, ShardedTrig,
+    TrainConfig,
+};
 use halk_kg::{generate, Graph, SynthConfig};
 use halk_logic::{Query, Structure};
 use rand::rngs::StdRng;
@@ -31,11 +32,16 @@ fn trained_deployment() -> (Graph, HalkModel) {
     (graph, model)
 }
 
+/// The model's entity trig table at `precision`.
+fn entity_trig(model: &HalkModel, precision: Precision) -> EntityTrig {
+    EntityTrig::new(model.entity_table(), 0..model.n_entities(), precision)
+}
+
 /// Rank metrics of the true tails of `n` held-out-style atom queries under
 /// `precision`. Rank uses the same `(score, index)` strict total order as
 /// the top-k kernels: a tie on score breaks toward the lower entity id.
 fn rank_metrics(graph: &Graph, model: &HalkModel, precision: Precision, n: usize) -> [f64; 4] {
-    let trig = model.entity_trig_with(precision);
+    let trig = entity_trig(model, precision);
     let mut scores = Vec::new();
     let (mut mrr, mut h1, mut h3, mut h10) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     let triples = graph.triples();
@@ -81,28 +87,9 @@ fn i16_rank_metrics_match_exact_within_1e_3() {
 }
 
 #[test]
-fn i8_rank_metrics_stay_close_to_exact() {
-    let (graph, model) = trained_deployment();
-    let exact = rank_metrics(&graph, &model, Precision::F32, PROBES);
-    let quant = rank_metrics(&graph, &model, Precision::I8, PROBES);
-    // I8 carries ~8x the rounding error of I16; it is gated at a bound
-    // that admits small rank churn but rejects a broken quantizer.
-    for (name, (e, q)) in ["mrr", "hits@1", "hits@3", "hits@10"]
-        .iter()
-        .zip(exact.iter().zip(quant.iter()))
-    {
-        assert!(
-            (e - q).abs() <= 5e-2,
-            "{name}: exact {e} vs i8 {q} differ by {}",
-            (e - q).abs()
-        );
-    }
-}
-
-#[test]
 fn f32_trig_path_is_bit_identical_to_score_all() {
     let (graph, model) = trained_deployment();
-    let trig = model.entity_trig_with(Precision::F32);
+    let trig = entity_trig(&model, Precision::F32);
     let mut via_trig = Vec::new();
     for t in &graph.triples()[..16] {
         let query = Query::atom(t.h, t.r);
@@ -122,13 +109,23 @@ fn sharded_quantized_top_k_matches_unsharded_quantized_ranking() {
     // to the trig storage format).
     let (graph, model) = trained_deployment();
     let pool = halk_par::Pool::new(2);
-    let sharded = model.entity_shards_with(4, Precision::I16);
-    let trig = model.entity_trig_with(Precision::I16);
+    let parts = ArcShards::new(model.n_entities(), 4);
+    let sharded = ShardedTrig::new(model.entity_table(), &parts, Precision::I16);
+    let trig = entity_trig(&model, Precision::I16);
+    let never = halk_obs::Deadline::never();
     let mut scores = Vec::new();
     for t in &graph.triples()[..8] {
         let query = Query::atom(t.h, t.r);
-        let (hits, scored) =
-            model.top_k_sharded(&pool, &sharded, &query, 10, &halk_obs::Deadline::never());
+        let scorer = model.scorer_for(&query);
+        let (hits, scored) = sharded_top_k(
+            &pool,
+            &sharded,
+            std::slice::from_ref(&scorer),
+            &[10],
+            &[&never],
+        )
+        .pop()
+        .expect("one query in, one result out");
         assert_eq!(scored, graph.n_entities());
         model.score_all_with(&trig, &query, &mut scores);
         let want = halk_core::top_k_indices(&scores, 10);

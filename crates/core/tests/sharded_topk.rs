@@ -1,5 +1,5 @@
 //! Sharded streaming top-k bit-identity suite (PR 7). The arc-sharded
-//! heap path (`entity_shards` + `top_k_sharded` / `sharded_top_k`) is an
+//! heap path (`entity_shards` + `sharded_top_k`) is an
 //! *optimization* of `score_all` + `top_k_indices`, not a semantic change;
 //! this file pins that down the same way `hotpath_equivalence.rs` pins the
 //! vectorized kernel:
@@ -22,7 +22,10 @@
 //! inside `TopK` coincides with the reference's `partial_cmp`-then-index
 //! ordering. Synthetic vectors below stay in that domain on purpose.
 
-use halk_core::{top_k_indices, HalkConfig, HalkModel, Pool, TopK, SCORE_SLICE};
+use halk_core::{
+    sharded_top_k, top_k_indices, HalkConfig, HalkModel, Pool, ShardedTopK, ShardedTrig, TopK,
+    SCORE_SLICE,
+};
 use halk_kg::{generate, SynthConfig};
 use halk_logic::plan::PlanShape;
 use halk_logic::{Sampler, Structure};
@@ -67,6 +70,27 @@ fn setup() -> &'static Setup {
     })
 }
 
+/// One query through the sharded top-k sweep.
+fn top_k(
+    model: &HalkModel,
+    pool: &Pool,
+    sharded: &ShardedTrig,
+    query: &halk_logic::Query,
+    k: usize,
+    deadline: &Deadline,
+) -> ShardedTopK {
+    let scorer = model.scorer_for(query);
+    sharded_top_k(
+        pool,
+        sharded,
+        std::slice::from_ref(&scorer),
+        &[k],
+        &[deadline],
+    )
+    .pop()
+    .expect("one query in, one result out")
+}
+
 /// The reference: full score vector, then the argsort-style selection.
 fn reference(model: &HalkModel, query: &halk_logic::Query, k: usize) -> Vec<(u32, f32)> {
     let scores = model.score_all(query);
@@ -87,7 +111,7 @@ fn sharded_top_k_is_bit_identical_across_shard_counts_and_k() {
             for shards in [1, 2, 4, 8] {
                 let sharded = setup.model.entity_shards(shards);
                 assert_eq!(sharded.n_entities(), setup.n);
-                let (got, rows) = setup.model.top_k_sharded(&pool, &sharded, query, k, &never);
+                let (got, rows) = top_k(&setup.model, &pool, &sharded, query, k, &never);
                 assert_eq!(rows, setup.n, "never-deadline must score every row");
                 assert_eq!(
                     got.len(),
@@ -130,13 +154,10 @@ fn batched_scorers_match_single_query_embedding() {
     let scorers = setup.model.scorers_for_shape(&shape, &refs);
     assert_eq!(scorers.len(), group.len());
     let trig = setup.model.entity_trig();
-    let never = Deadline::never();
     let mut batched = Vec::new();
     for (scorer, query) in scorers.iter().zip(&group) {
-        batched.clear();
-        batched.resize(trig.n_entities(), f32::INFINITY);
-        let rows = scorer.score_until(&trig, 0, &mut batched, SCORE_SLICE, &never);
-        assert_eq!(rows, trig.n_entities());
+        scorer.score_into(&trig, &mut batched);
+        assert_eq!(batched.len(), trig.n_entities());
         let single = setup.model.score_all(query);
         for (i, (&b, &s)) in batched.iter().zip(&single).enumerate() {
             assert_eq!(
@@ -157,14 +178,10 @@ fn expired_deadline_scores_nothing_and_never_scores_everything() {
     let (clock, now) = Clock::mock();
     now.store(1_000, std::sync::atomic::Ordering::SeqCst);
     let expired = Deadline::at_ns(&clock, 500);
-    let (hits, rows) = setup
-        .model
-        .top_k_sharded(&pool, &sharded, query, 10, &expired);
+    let (hits, rows) = top_k(&setup.model, &pool, &sharded, query, 10, &expired);
     assert_eq!(rows, 0, "expired before the first slice: nothing scored");
     assert!(hits.is_empty());
-    let (hits, rows) = setup
-        .model
-        .top_k_sharded(&pool, &sharded, query, 10, &Deadline::never());
+    let (hits, rows) = top_k(&setup.model, &pool, &sharded, query, 10, &Deadline::never());
     assert_eq!(rows, setup.n);
     assert_eq!(hits.len(), 10);
 }

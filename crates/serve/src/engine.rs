@@ -221,14 +221,15 @@ impl<'a> ExecBackend for ServeBackend<'a> {
 impl Engine {
     /// Builds the serving state, warming the shard-local entity trig once.
     /// The shard count defaults to the pool's thread budget (HALK_THREADS
-    /// or the machine); override with [`Engine::shards`].
+    /// or the machine); [`Engine::with_options`] fixes it explicitly.
     pub fn new(graph: Graph, model: Option<HalkModel>) -> Engine {
         Engine::with_options(graph, model, None, Precision::F32)
     }
 
-    /// [`Engine::new`] with the shard count and trig precision fixed up
-    /// front, so the boot-time table build happens exactly once in the
-    /// requested format (no throwaway full-precision warm-up).
+    /// [`Engine::new`] with an explicit shard count and trig storage
+    /// precision. `F32` is bit-identical to `score_all`; `I16` halves the
+    /// resident tables and preserves ranks, not bits. The tables are built
+    /// once, at boot, in the requested format.
     pub fn with_options(
         graph: Graph,
         model: Option<HalkModel>,
@@ -236,14 +237,19 @@ impl Engine {
         precision: Precision,
     ) -> Engine {
         let shards = shards.unwrap_or_else(|| Pool::auto().threads()).max(1);
-        let mut engine = Engine {
+        let engine = Engine {
             graph,
             model,
             exec: Executor::new(Engine::exec_config(shards, precision)),
             test_faults: false,
             slow_ms: slow_ms_from_env(),
         };
-        engine.rebuild_sharded();
+        // Warm the shard-local trig now, so request 1 scores through exactly
+        // the same tables as request 100.
+        if let Some(m) = &engine.model {
+            let _ = engine.exec.sharded_trig(m);
+        }
+        engine.publish_trig_gauges();
         engine
     }
 
@@ -295,23 +301,6 @@ impl Engine {
         engine
     }
 
-    /// Overrides the arc-shard count, rebuilding the shard-local trig.
-    pub fn shards(mut self, n: usize) -> Engine {
-        self.exec.set_shards(n.max(1));
-        self.rebuild_sharded();
-        self
-    }
-
-    /// Overrides the trig storage [`Precision`], rebuilding the
-    /// shard-local tables in the requested format. `F32` (the default) is
-    /// bit-identical to every pre-quantization release; `I16`/`I8` shrink
-    /// the resident working set by 2×/4× and preserve ranks, not bits.
-    pub fn precision(mut self, p: Precision) -> Engine {
-        self.exec.set_precision(p);
-        self.rebuild_sharded();
-        self
-    }
-
     /// Overrides the batch-drain cap: the most same-skeleton jobs one
     /// worker groups into a single kernel pass (`halk serve --batch-cap`;
     /// defaults to [`DEFAULT_BATCH_CAP`]).
@@ -323,18 +312,6 @@ impl Engine {
     /// The batch-drain cap the workers group up to.
     pub fn max_batch(&self) -> usize {
         self.exec.batch_cap()
-    }
-
-    /// Warms the shard-local trig at the configured shard count and
-    /// precision, and publishes the resident-bytes gauges. This runs at
-    /// construction — request 1 scores through exactly the same tables as
-    /// request 100.
-    fn rebuild_sharded(&mut self) {
-        self.exec.invalidate();
-        if let Some(m) = &self.model {
-            let _ = self.exec.sharded_trig(m);
-        }
-        self.publish_trig_gauges();
     }
 
     /// Publishes the resident-bytes gauges for the current shard tables.

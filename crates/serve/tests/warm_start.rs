@@ -5,8 +5,10 @@
 //! Pinned two ways: the `halk_trig_builds_total` counter (incremented by
 //! every shard-table build in `halk_core`) must not move across requests,
 //! and responses must be identical from the first request to the last.
-//! This file is its own test binary, so the process-global counter is not
-//! shared with unrelated engine constructions.
+//! This file is its own test binary holding a single test, so the
+//! process-global counter is not shared with any other engine
+//! construction (the quantized twin lives in `warm_start_quantized.rs`
+//! for the same reason).
 
 use halk_core::{HalkConfig, HalkModel, Precision};
 use halk_kg::{generate, SynthConfig};
@@ -74,43 +76,4 @@ fn request_1_equals_request_100_with_no_table_builds_between() {
         after_boot,
         "the request path must never rebuild a trig table"
     );
-}
-
-#[test]
-fn quantized_engine_warms_smaller_tables_at_boot() {
-    let exact = deployment();
-    let builds = halk_obs::metrics::counter("halk_trig_builds_total");
-
-    let cfg = SynthConfig {
-        n_entities: 600,
-        ..SynthConfig::fb237_like()
-    };
-    let graph = generate(&cfg, &mut StdRng::seed_from_u64(21));
-    let model = HalkModel::new(&graph, HalkConfig::tiny());
-    let quant = Engine::with_options(graph, Some(model), Some(4), Precision::I16);
-
-    assert_eq!(quant.scoring_precision(), Precision::I16);
-    assert_eq!(quant.trig_resident_bytes() * 2, exact.trig_resident_bytes());
-    assert_eq!(quant.trig_shard_bytes().len(), 4);
-
-    // Same warm-start contract at reduced precision.
-    let after_boot = builds.get();
-    let (clock, _now) = Clock::mock();
-    let sparql = "SELECT ?x WHERE { e:3 r:1 ?x . }";
-    let first = quant.execute(
-        AskEngine::Halk,
-        10,
-        sparql,
-        &Deadline::after(&clock, std::time::Duration::from_secs(1)),
-    );
-    for _ in 2..=100 {
-        let resp = quant.execute(
-            AskEngine::Halk,
-            10,
-            sparql,
-            &Deadline::after(&clock, std::time::Duration::from_secs(1)),
-        );
-        assert_eq!(resp, first);
-    }
-    assert_eq!(builds.get(), after_boot);
 }

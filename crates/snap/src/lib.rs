@@ -281,7 +281,7 @@ pub fn to_bytes(graph: &Graph, model: &HalkModel) -> Vec<u8> {
     let conf = serde_json::to_string(model.config())
         .expect("HalkConfig serializes infallibly")
         .into_bytes();
-    let trig = model.entity_trig_with(Precision::F32);
+    let trig = model.entity_trig();
 
     let mut buf = Vec::new();
     buf.extend_from_slice(MAGIC);
@@ -684,7 +684,7 @@ pub fn from_bytes(buf: &[u8]) -> Result<(Graph, HalkModel, EntityTrig), SnapErro
     if meta.n_entities > 0 {
         let (sin, cos) = trig.f32_parts().expect("from_f32_parts stores f32");
         for row in [0, meta.n_entities - 1] {
-            let want = model.entity_trig_rows_with(row..row + 1, Precision::F32);
+            let want = EntityTrig::new(model.entity_table(), row..row + 1, Precision::F32);
             let (ws, wc) = want.f32_parts().expect("row build is f32");
             let lo = row * meta.dim;
             let hi = lo + meta.dim;
@@ -830,7 +830,7 @@ mod tests {
 
         // The shipped trig table equals a fresh build from the model, so a
         // snapshot-booted server's fast path is the same bytes too.
-        let fresh = model.entity_trig_with(Precision::F32);
+        let fresh = model.entity_trig();
         let (fs, fc) = fresh.f32_parts().unwrap();
         let (ss, sc) = trig2.f32_parts().unwrap();
         assert!(fs.iter().zip(ss).all(|(a, b)| a.to_bits() == b.to_bits()));
