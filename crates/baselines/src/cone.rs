@@ -11,9 +11,7 @@
 //! group information, and no difference operator (§IV-A: "-" cells).
 
 use crate::embedder::{embed_plan, forward_loss, GeomOps};
-use halk_core::{
-    ArcScorer, DistanceMode, EntityTrig, HalkConfig, Precision, QueryModel, TrainExample,
-};
+use halk_core::{ArcScorer, DistanceMode, EntityTrig, HalkConfig, QueryModel, TrainExample};
 use halk_kg::Graph;
 use halk_logic::plan::{PlanBindings, PlanCache};
 use halk_logic::{Query, Structure};
@@ -119,10 +117,10 @@ impl ConeModel {
         )
     }
 
-    /// Full-precision half-angle trig of the axis table.
+    /// Half-angle trig of the axis table.
     fn axis_trig(&self) -> EntityTrig {
         let table = self.store.value(self.ent_axis);
-        EntityTrig::new(table, 0..table.rows, Precision::F32)
+        EntityTrig::new(table, 0..table.rows)
     }
 
     /// Scores every entity against `query` through the shared arc kernel.

@@ -25,9 +25,8 @@
 //! shard build, the pre-snapshot serve boot) against `snapshot_boot_8000`
 //! (`halk_snap::read_file`: one CRC-framed binary decode into the
 //! `from_parts` constructors, then re-slicing the shipped TRIG table into
-//! shards) — plus the quantized scoring pair `score_all_8000_f32` /
-//! `score_all_8000_i16` (same queries, same hoisted output buffer, trig
-//! stored at each precision). The v7 schema adds `executor_group_8000`:
+//! shards) — plus `score_all_8000_f32` (the same queries over a hoisted
+//! trig table and output buffer). The v7 schema adds `executor_group_8000`:
 //! the same 8-query group submitted through the skeleton-keyed batch
 //! executor (`halk_core::exec`, ISSUE 9) with a serve-style backend, so
 //! `--compare` gates the executor's envelope (keying, grouping, obs,
@@ -47,9 +46,8 @@
 //! entry with its slowdown percentage.
 
 use halk_core::{
-    evaluate_structure_pool, top_k_indices, ArcShards, EntityTrig, ExecBackend, ExecConfig,
-    Executor, HalkConfig, HalkModel, Pool, Precision, QueryModel, ShapeKey, ShardedTrig,
-    TrainExample,
+    evaluate_structure_pool, top_k_indices, ArcShards, ExecBackend, ExecConfig, Executor,
+    HalkConfig, HalkModel, Pool, QueryModel, ShapeKey, ShardedTrig, TrainExample,
 };
 use halk_kg::{generate, DatasetSplit, Graph, SynthConfig};
 use halk_logic::plan::{PlanBindings, PlanShape};
@@ -465,13 +463,9 @@ fn main() {
     ));
     let executor_overhead = ns_exec8 / ns_sharded8;
 
-    // --- quantized scoring (ISSUE 8): the same 8-query group swept with
-    // the trig table stored at F32 vs I16 fixed point. Both use the
-    // amortized shape (hoisted trig + reusable output buffer) so the
-    // number isolates the kernel, not allocation. I16 halves the resident
-    // table; whether it also wins wall-clock at a cache-resident 8000×d
-    // scale is exactly what this pair records honestly.
-    let trig8_i16 = EntityTrig::new(model8.entity_table(), 0..g8.n_entities(), Precision::I16);
+    // --- full-vector scoring: the same 8-query group swept over the
+    // hoisted f32 trig table with a reusable output buffer, so the number
+    // isolates the kernel, not allocation.
     let mut qscores = Vec::new();
     let ns_q_f32 = median_ns(samples, iters, || {
         for q in &group8 {
@@ -490,30 +484,12 @@ fn main() {
             "trig_resident_bytes": trig8.resident_bytes(),
         }),
     ));
-    let ns_q_i16 = median_ns(samples, iters, || {
-        for q in &group8 {
-            model8.score_all_with(&trig8_i16, q, &mut qscores);
-            black_box(&qscores);
-        }
-    }) / group8.len() as f64;
-    println!("score_all_8000_i16       {ns_q_i16:>12.0} ns/op   ({iters} iters/sample)");
-    results.push((
-        "score_all_8000_i16".to_string(),
-        json!({
-            "median_ns": ns_q_i16,
-            "iters": iters,
-            "n_entities": 8000,
-            "group": group8.len(),
-            "trig_resident_bytes": trig8_i16.resident_bytes(),
-        }),
-    ));
-    let quantized_ratio = ns_q_f32 / ns_q_i16;
 
     // --- cold start (ISSUE 8): the two ways `halk serve` can reach a
     // *serving-ready* engine — graph loaded, model restored, shard-local
     // trig tables built — at the 10x Table VI scale (8000 entities and a
-    // realistically dense 50k triples; the quantized-scoring graph above
-    // keeps the sparser seed for schema continuity). The TSV path is what
+    // realistically dense 50k triples; the full-vector scoring graph
+    // above keeps the sparser seed for schema continuity). The TSV path is what
     // boot cost before snapshots: parse the triple TSV, pay
     // `HalkModel::new`'s O(n_entities * dim) seeded init plus the grouping
     // sweep, load the checkpoint (values + Adam moments), then compute the
@@ -558,7 +534,7 @@ fn main() {
     let ns_snap_boot = median_ns(boot_samples, 1, || {
         let (g, m, trig) = halk_snap::read_file(&snap_path).expect("snapshot boot");
         let parts = ArcShards::new(trig.n_entities(), boot_shards);
-        let sharded = ShardedTrig::from_table(&trig, &parts, Precision::F32);
+        let sharded = ShardedTrig::from_table(&trig, &parts);
         drop(trig); // the engine keeps only the shard slices resident
         black_box((g, m, sharded));
     });
@@ -604,7 +580,6 @@ fn main() {
     println!("score_all speedup vs scalar: up {speedup:.2}x, p2 {speedup_p2:.2}x");
     println!("topk_sharded_8000 vs score_all_8000: {sharded_speedup:.2}x");
     println!("executor_group_8000 vs topk_sharded_8000: {executor_overhead:.2}x envelope");
-    println!("score_all_8000 f32 vs i16: {quantized_ratio:.2}x");
     println!("snapshot_boot_8000 vs tsv_boot_8000: {boot_speedup:.2}x");
 
     // Snapshot the metrics the instrumented paths accumulated while
@@ -642,7 +617,6 @@ fn main() {
             "train_parallel_speedup": train_speedup,
             "topk_sharded_8000_speedup": sharded_speedup,
             "executor_group_8000_overhead": executor_overhead,
-            "score_all_8000_f32_vs_i16": quantized_ratio,
             "snapshot_boot_8000_speedup": boot_speedup,
         }),
     });

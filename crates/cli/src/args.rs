@@ -28,6 +28,8 @@ pub enum ArgError {
     MissingFlag(&'static str),
     /// A flag value failed to parse.
     BadValue(&'static str, String),
+    /// A flag the subcommand does not read.
+    UnknownFlag(String),
 }
 
 impl fmt::Display for ArgError {
@@ -38,6 +40,7 @@ impl fmt::Display for ArgError {
             ArgError::UnexpectedPositional(v) => write!(f, "unexpected argument '{v}'"),
             ArgError::MissingFlag(k) => write!(f, "required flag --{k} missing"),
             ArgError::BadValue(k, v) => write!(f, "cannot parse --{k} value '{v}'"),
+            ArgError::UnknownFlag(k) => write!(f, "unknown flag --{k} (try `halk help`)"),
         }
     }
 }
@@ -61,6 +64,15 @@ impl Args {
             }
         }
         Ok(Args { command, flags })
+    }
+
+    /// Fails on the first flag outside `known`, so a mistyped or retired
+    /// flag is an error instead of being silently ignored.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), ArgError> {
+        match self.flags.keys().find(|k| !known.contains(&k.as_str())) {
+            Some(k) => Err(ArgError::UnknownFlag(k.clone())),
+            None => Ok(()),
+        }
     }
 
     /// A required string flag.

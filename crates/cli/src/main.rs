@@ -8,7 +8,7 @@
 //!            [--keep-checkpoints K] [--resume FILE]
 //! halk ask   --graph graph.tsv --sparql 'SELECT ?x WHERE { e:0 r:0 ?x . }'
 //!            [--model model_dir] [--engine exact|halk|match] [--top N]
-//! halk serve --graph graph.tsv | --snapshot file.snap [--precision f32|i16] ...
+//! halk serve --graph graph.tsv | --snapshot file.snap ...
 //! halk snapshot build   --graph graph.tsv --model model_dir --out file.snap
 //! halk snapshot inspect --snap file.snap
 //! halk help
@@ -137,14 +137,23 @@ fn run(mut argv: Vec<String>) -> Result<(), CliError> {
         "serve" => cmd_serve(&args),
         "top" => cmd_top(&args),
         "snapshot" => cmd_snapshot(&args, action.as_deref()),
-        "help" | "--help" | "-h" => {
-            print!("{}", HELP);
-            Ok(())
-        }
+        "help" | "--help" | "-h" => declare_flags(&args, &[])
+            .map(|()| print!("{HELP}"))
+            .map_err(CliError::from),
         other => Err(CliError::UnknownCommand(other.to_string())),
     };
     finish_obs(&args);
     result
+}
+
+/// The flags [`init_obs`] and [`finish_obs`] read: every subcommand
+/// accepts them.
+const OBS_FLAGS: &[&str] = &["trace", "metrics-out"];
+
+/// Declares the flags a subcommand reads besides [`OBS_FLAGS`]; any other
+/// flag fails with [`ArgError::UnknownFlag`].
+fn declare_flags(args: &Args, flags: &[&str]) -> Result<(), ArgError> {
+    args.reject_unknown(&[OBS_FLAGS, flags].concat())
 }
 
 /// Installs the pool-stats observability hooks and honors `HALK_TRACE` plus
@@ -199,10 +208,6 @@ USAGE:
                                       pass (default 16; must be >= 1)
              [--snapshot FILE]        boot from a binary snapshot instead
                                       of --graph/--model (fast cold start)
-             [--precision f32|i16]    trig table storage precision
-                                      (f32 = bit-exact default; i16
-                                      halves resident bytes and
-                                      preserves ranks — DESIGN.md §14)
              [--obs-addr HOST:PORT]   serve GET /metrics, /metrics.json
                                       and /healthz on a dedicated thread
                                       (DESIGN.md §16; port 0 = OS-picked,
@@ -248,6 +253,7 @@ fn load_graph(args: &Args) -> Result<Graph, CliError> {
 }
 
 fn cmd_gen(args: &Args) -> Result<(), CliError> {
+    declare_flags(args, &["dataset", "out", "seed"])?;
     let dataset = args.required("dataset")?;
     let out = args.required("out")?;
     let seed: u64 = args.parsed_or("seed", 40)?;
@@ -273,6 +279,7 @@ fn cmd_gen(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_stats(args: &Args) -> Result<(), CliError> {
+    declare_flags(args, &["graph"])?;
     let g = load_graph(args)?;
     let s = GraphStats::compute(&g);
     println!("entities          {}", s.n_entities);
@@ -286,6 +293,21 @@ fn cmd_stats(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_train(args: &Args) -> Result<(), CliError> {
+    declare_flags(
+        args,
+        &[
+            "graph",
+            "out",
+            "steps",
+            "dim",
+            "seed",
+            "checkpoint-every",
+            "keep-checkpoints",
+            "checkpoint-dir",
+            "resume",
+            "threads",
+        ],
+    )?;
     let g = load_graph(args)?;
     let out = args.required("out")?;
     let steps: usize = args.parsed_or("steps", 3000)?;
@@ -398,6 +420,7 @@ fn cmd_train(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_ask(args: &Args) -> Result<(), CliError> {
+    declare_flags(args, &["graph", "sparql", "engine", "top", "model"])?;
     let g = load_graph(args)?;
     let sparql = args.required("sparql")?;
     let engine = args.optional("engine").unwrap_or("exact");
@@ -447,6 +470,7 @@ fn cmd_ask(args: &Args) -> Result<(), CliError> {
 fn cmd_snapshot(args: &Args, action: Option<&str>) -> Result<(), CliError> {
     match action {
         Some("build") => {
+            declare_flags(args, &["graph", "model", "out"])?;
             let g = load_graph(args)?;
             let dir = args.required("model")?;
             let model = HalkModel::load(&g, Path::new(dir)).map_err(|error| CliError::Model {
@@ -477,6 +501,7 @@ fn cmd_snapshot(args: &Args, action: Option<&str>) -> Result<(), CliError> {
             Ok(())
         }
         Some("inspect") => {
+            declare_flags(args, &["snap"])?;
             let path = args.required("snap")?;
             let meta = halk_snap::inspect_file(Path::new(path)).map_err(|error| CliError::Io {
                 path: path.to_string(),
@@ -502,6 +527,25 @@ fn cmd_snapshot(args: &Args, action: Option<&str>) -> Result<(), CliError> {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), CliError> {
+    declare_flags(
+        args,
+        &[
+            "snapshot",
+            "graph",
+            "model",
+            "addr",
+            "obs-addr",
+            "workers",
+            "queue-cap",
+            "max-sessions",
+            "default-deadline-ms",
+            "drain-ms",
+            "test-faults",
+            "shards",
+            "batch-cap",
+            "slow-ms",
+        ],
+    )?;
     let boot_start = std::time::Instant::now();
     // Boot either from a binary snapshot (graph + model + grouping + the
     // precomputed trig table in one validated read) or from the TSV +
@@ -603,12 +647,11 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
                 .map_err(|_| ArgError::BadValue("slow-ms", v.to_string()))?,
         ),
     };
-    let precision: Precision = args.parsed_or("precision", Precision::F32)?;
     let mut engine = match (boot_trig, model) {
         (Some(trig), Some(m)) => {
-            halk_serve::Engine::with_boot_table(g, m, &trig, shards_opt, precision)
+            halk_serve::Engine::with_boot_table(g, m, &trig, shards_opt, Precision::F32)
         }
-        (_, model) => halk_serve::Engine::with_options(g, model, shards_opt, precision),
+        (_, model) => halk_serve::Engine::with_options(g, model, shards_opt),
     }
     .test_faults(faults);
     if let Some(cap) = batch_cap {
@@ -620,7 +663,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let boot = boot_start.elapsed();
     halk_obs::metrics::gauge("halk_serve_boot_ns").set(boot.as_nanos() as f64);
     eprintln!(
-        "booted in {boot:.1?} ({}; precision {precision}, trig resident {} bytes)",
+        "booted in {boot:.1?} ({}; trig resident {} bytes)",
         if args.optional("snapshot").is_some() {
             "snapshot"
         } else {
@@ -639,7 +682,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     manifest.config_int("queue_cap", cfg.queue_cap as u64);
     manifest.config_int("shards", engine.n_shards() as u64);
     manifest.config_int("batch_cap", engine.max_batch() as u64);
-    manifest.config_str("precision", precision.name());
     manifest.set_int("boot_ns", boot.as_nanos() as u64);
     manifest.set_int("trig_resident_bytes", engine.trig_resident_bytes() as u64);
     manifest.set_bool("model_loaded", has_model);
@@ -736,17 +778,6 @@ fn json_bool(v: &serde_json::Value, path: &[&str]) -> bool {
     cur.as_bool().unwrap_or(false)
 }
 
-fn json_str<'a>(v: &'a serde_json::Value, path: &[&str]) -> &'a str {
-    let mut cur = v;
-    for key in path {
-        match cur.get(key) {
-            Some(next) => cur = next,
-            None => return "?",
-        }
-    }
-    cur.as_str().unwrap_or("?")
-}
-
 /// Renders one screenful of daemon state from a `/metrics.json` snapshot
 /// (plus optional `STATS` pairs from the query port).
 fn render_top(addr: &str, v: &serde_json::Value, stats: Option<&[(String, u64)]>) -> String {
@@ -833,11 +864,10 @@ fn render_top(addr: &str, v: &serde_json::Value, stats: Option<&[(String, u64)]>
     }
     let _ = writeln!(
         out,
-        "health    draining={}  model={}  shards={}  precision={}  resident {:.1} MB",
+        "health    draining={}  model={}  shards={}  resident {:.1} MB",
         json_bool(v, &["health", "draining"]),
         json_bool(v, &["health", "has_model"]),
         json_num(v, &["health", "shards"]) as u64,
-        json_str(v, &["health", "precision"]),
         json_num(v, &["health", "trig_resident_bytes"]) / (1024.0 * 1024.0),
     );
     if let Some(pairs) = stats {
@@ -857,6 +887,7 @@ fn render_top(addr: &str, v: &serde_json::Value, stats: Option<&[(String, u64)]>
 /// `halk top`: poll a daemon's `--obs-addr` endpoint (and optionally its
 /// query port's STATS verb) and redraw a one-screen live view.
 fn cmd_top(args: &Args) -> Result<(), CliError> {
+    declare_flags(args, &["addr", "once", "interval-ms", "serve-addr"])?;
     let addr = args.required("addr")?;
     let once = args
         .optional("once")
@@ -993,6 +1024,24 @@ mod tests {
             matches!(err, CliError::Args(ArgError::BadValue(..))),
             "{err}"
         );
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        // A typo and a retired flag both fail before any work starts.
+        for (line, flag) in [
+            ("serve --graph g.tsv --shard 4", "shard"),
+            ("serve --snapshot m.snap --precision i16", "precision"),
+            ("gen --dataset fb237 --out g.tsv --sed 3", "sed"),
+        ] {
+            let err = run_line(line).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Args(ArgError::UnknownFlag(f)) if f == flag),
+                "{line}: {err}"
+            );
+            assert_eq!(err.exit_code(), ExitCode::from(2));
+            assert!(err.to_string().contains(&format!("--{flag}")), "{err}");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   FIFO-bounded) lives here, as does the scoring-cache layer: the
 //!   generic [`QueryModel::score_cache`] product (HaLk's full
 //!   [`EntityTrig`] table) and the serving-side [`ShardedTrig`]
-//!   shard-local tables at any [`Precision`]. Both are built at most once
+//!   shard-local tables. Both are built at most once
 //!   per parameter state (versioned by the optimizer step count) and
 //!   shared via `Arc` — eval no longer rebuilds the trig table per
 //!   structure, and serve's resident tables come from the same layer.
@@ -47,7 +47,7 @@
 
 use crate::model::HalkModel;
 use crate::qmodel::{QueryModel, ScoreCache};
-use crate::scorer::{ArcScorer, Precision};
+use crate::scorer::ArcScorer;
 use crate::shard::{ArcShards, ShardedTrig};
 use halk_logic::plan::{PlanCache, PlanShape};
 use halk_logic::Query;
@@ -59,8 +59,7 @@ use std::sync::{Arc, Mutex};
 pub const DEFAULT_BATCH_CAP: usize = 16;
 
 /// Construction parameters for an [`Executor`]. `Default` gives an
-/// unbounded, auto-threaded executor labeled `"exec"` scoring at full
-/// precision.
+/// unbounded, auto-threaded executor labeled `"exec"`.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
     /// Worker threads for group kernels (0 = auto, like [`Pool::auto`]).
@@ -74,8 +73,6 @@ pub struct ExecConfig {
     /// Arc-shard count for [`Executor::sharded_trig`] (0 = the pool's
     /// thread budget at build time).
     pub shards: usize,
-    /// Storage precision of the shard-local trig tables.
-    pub precision: Precision,
 }
 
 impl Default for ExecConfig {
@@ -85,7 +82,6 @@ impl Default for ExecConfig {
             label: "exec",
             batch_cap: 0,
             shards: 0,
-            precision: Precision::F32,
         }
     }
 }
@@ -193,7 +189,6 @@ pub struct Executor {
     label: &'static str,
     batch_cap: usize,
     shards: usize,
-    precision: Precision,
     plans: PlanCache,
     cache: Mutex<CacheState>,
 }
@@ -206,7 +201,6 @@ impl Executor {
             label: cfg.label,
             batch_cap: cfg.batch_cap,
             shards: cfg.shards,
-            precision: cfg.precision,
             plans: PlanCache::new(),
             cache: Mutex::new(CacheState {
                 version: 0,
@@ -268,11 +262,6 @@ impl Executor {
         self.shards
     }
 
-    /// The trig storage precision of the executor's sharded tables.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
     /// The model's scoring cache for its *current* parameter state, built
     /// at most once per state and shared via `Arc`. Versioned by the
     /// optimizer step count, so a training step between evals rebuilds;
@@ -299,7 +288,7 @@ impl Executor {
 
     /// The resident shard-local trig tables for the model's current
     /// parameter state, building them on first use at the configured
-    /// shard count and precision. The build is held under the cache lock
+    /// shard count. The build is held under the cache lock
     /// so concurrent callers share one table instead of racing to build.
     pub fn sharded_trig(&self, model: &HalkModel) -> Arc<ShardedTrig> {
         let version = model.param_store().steps_taken();
@@ -318,7 +307,7 @@ impl Executor {
         .max(1);
         let table = model.entity_table();
         let parts = ArcShards::new(table.rows, shards);
-        let built = Arc::new(ShardedTrig::new(table, &parts, self.precision));
+        let built = Arc::new(ShardedTrig::new(table, &parts));
         halk_obs::counter!("halk_exec_cache_builds_total").inc();
         halk_obs::windowed_counter!("halk_exec_cache_builds_total").inc();
         st.sharded = Some(built.clone());

@@ -26,7 +26,7 @@
 use crate::arcvar::{chord, clamp, g_squash, ArcVar};
 use crate::config::{Ablation, DistanceMode, HalkConfig};
 use crate::exec::{ExecConfig, Executor};
-use crate::scorer::{ArcScorer, EntityTrig, Precision};
+use crate::scorer::{ArcScorer, EntityTrig};
 use crate::shard::{ArcShards, ShardedTrig};
 use halk_geometry::Arc;
 use halk_kg::{EntityId, Graph, Grouping, RelationId};
@@ -170,8 +170,8 @@ impl HalkModel {
     }
 
     /// The model-internal executor configuration: auto-threaded, no group
-    /// cap (a training batch is one group), full-precision tables, and the
-    /// `model_batch` pool label every release has used.
+    /// cap (a training batch is one group), and the `model_batch` pool
+    /// label every release has used.
     fn exec_config() -> ExecConfig {
         ExecConfig {
             label: "model_batch",
@@ -660,13 +660,13 @@ impl HalkModel {
         ArcScorer::from_arcs(&branches, self.cfg.rho, self.cfg.eta, self.cfg.distance)
     }
 
-    /// Precomputed full-precision half-angle trig of the current entity
+    /// Precomputed half-angle trig of the current entity
     /// table. Valid until the next training step moves the table; reuse it
     /// across queries to amortize the per-entity trig (evaluation's
     /// [`crate::qmodel::QueryModel::score_cache`] does this).
     pub fn entity_trig(&self) -> EntityTrig {
         let table = self.store.value(self.ent_center);
-        EntityTrig::new(table, 0..table.rows, Precision::F32)
+        EntityTrig::new(table, 0..table.rows)
     }
 
     /// Distance from every entity to the query region — the online scoring
@@ -687,14 +687,14 @@ impl HalkModel {
         self.scorer_for(query).score_into(trig, out);
     }
 
-    /// Full-precision shard-local trig tables for the current entity table
+    /// Shard-local trig tables for the current entity table
     /// under a balanced `n_shards`-way arc partition — the input of
     /// [`crate::shard::sharded_top_k`]. Like [`HalkModel::entity_trig`],
     /// valid until the next training step; build once per model snapshot
     /// and share across queries.
     pub fn entity_shards(&self, n_shards: usize) -> ShardedTrig {
         let table = self.store.value(self.ent_center);
-        ShardedTrig::new(table, &ArcShards::new(table.rows, n_shards), Precision::F32)
+        ShardedTrig::new(table, &ArcShards::new(table.rows, n_shards))
     }
 
     /// Compiles a *group* of same-skeleton queries into per-query

@@ -37,7 +37,6 @@
 use crate::config::DistanceMode;
 use halk_geometry::Arc;
 use halk_nn::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// The fixed scoring-slice size of the sharded top-k sweep
 /// ([`crate::shard::sharded_top_k`]): shards are aligned to it, deadlines
@@ -47,127 +46,47 @@ use serde::{Deserialize, Serialize};
 /// scores bit-identically.
 pub const SCORE_SLICE: usize = 1024;
 
-/// Storage precision of the precomputed entity-trig working set — the
-/// accuracy/bandwidth knob of the memory diet (DESIGN.md §14). HaLk's
-/// ranking only needs score *order* preserved, not bits, so the hot
-/// tables can trade precision for bytes. Trig values are bounded in
-/// `[-1, 1]`, so the quantized modes use **fixed-point** integers rather
-/// than IEEE half floats: on a bounded domain, `i16` fixed point is both
-/// strictly more accurate near ±1 than binary16 (3.1e-5 worst-case error
-/// vs ~4.9e-4) and far cheaper to decode (integer convert + one multiply,
-/// which autovectorizes; no exponent/subnormal handling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Storage format of the entity-trig tables. `F32` is the only one: the
+/// Eq. 16 ranking is computed from the stored `f32` half-angle trig, and
+/// every bit-identity contract of the scoring paths rests on it. The
+/// one-variant type stays because `halk_serve::Engine::with_boot_table`
+/// still takes it, and the end-to-end benchmark under `perfbench/` passes
+/// it there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Precision {
-    /// Full `f32` storage — the default. Scores are bit-identical to the
-    /// historical unquantized path; every bit-identity contract in this
-    /// module holds only in this mode.
-    #[default]
+    /// Full `f32` storage.
     F32,
-    /// 16-bit fixed point (`round(x · 32767)` stored as `i16`, decoded as
-    /// `v / 32767`). Halves resident table bytes; worst-case per-coordinate
-    /// error 1.6e-5, which preserves MRR/H@k to well under the 1e-3
-    /// equivalence gate on the seed eval.
-    I16,
-}
-
-impl Precision {
-    /// Bytes one stored trig coordinate pair (`sin`, `cos`) occupies.
-    pub fn bytes_per_pair(self) -> usize {
-        match self {
-            Precision::F32 => 8,
-            Precision::I16 => 4,
-        }
-    }
-
-    /// The CLI / STATS name (`f32`, `i16`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Precision::F32 => "f32",
-            Precision::I16 => "i16",
-        }
-    }
-}
-
-impl std::str::FromStr for Precision {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "f32" | "exact" => Ok(Precision::F32),
-            "i16" | "f16" => Ok(Precision::I16), // `f16` accepted as the colloquial 16-bit name
-            other => Err(format!("unknown precision '{other}' (f32|i16)")),
-        }
-    }
-}
-
-impl std::fmt::Display for Precision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-const I16_SCALE: f32 = 32767.0;
-
-#[inline]
-fn quantize_i16(x: f32) -> i16 {
-    (x * I16_SCALE).round().clamp(-I16_SCALE, I16_SCALE) as i16
-}
-
-/// The trig arrays in one of the [`Precision`] storage modes.
-enum TrigStore {
-    F32 {
-        half_sin: Vec<f32>,
-        half_cos: Vec<f32>,
-    },
-    I16 {
-        half_sin: Vec<i16>,
-        half_cos: Vec<i16>,
-    },
 }
 
 /// Precomputed half-angle trig of an entity table: `sin(θ/2)` and
 /// `cos(θ/2)` for every entity coordinate, laid out row-major to match the
 /// table. Build once, reuse across every query scored against the same
-/// parameters (rebuild after a training step moves the table). Storage
-/// [`Precision`] is chosen at build time; the kernels always compute in
-/// `f32`, decoding quantized rows on the fly.
+/// parameters (rebuild after a training step moves the table).
 pub struct EntityTrig {
-    store: TrigStore,
+    half_sin: Vec<f32>,
+    half_cos: Vec<f32>,
     n_entities: usize,
     dim: usize,
 }
 
 impl EntityTrig {
+    /// Bytes one stored trig coordinate pair (`sin`, `cos`) occupies.
+    pub const BYTES_PER_PAIR: usize = 2 * std::mem::size_of::<f32>();
+
     /// Precomputes trig for the contiguous row range `rows` of an `n×d`
-    /// table of entity angles, stored at `precision` (`0..table.rows` for
-    /// the whole table). A sub-range is the shard-local build: each arc
-    /// shard owns the trig of its own entity range and nothing else, so
-    /// per-shard memory is bounded by the shard size. Sin/cos and
-    /// quantization are per element, so entry `i` of the result is
-    /// bit-identical to row `rows.start + i` of a whole-table build at the
-    /// same precision.
-    pub fn new(table: &Tensor, rows: std::ops::Range<usize>, precision: Precision) -> Self {
+    /// table of entity angles (`0..table.rows` for the whole table). A
+    /// sub-range is the shard-local build: each arc shard owns the trig of
+    /// its own entity range and nothing else, so per-shard memory is
+    /// bounded by the shard size. Sin/cos are per element, so entry `i` of
+    /// the result is bit-identical to row `rows.start + i` of a whole-table
+    /// build.
+    pub fn new(table: &Tensor, rows: std::ops::Range<usize>) -> Self {
         assert!(rows.end <= table.rows, "trig row range out of bounds");
         let d = table.cols;
         let data = &table.data[rows.start * d..rows.end * d];
-        let store = match precision {
-            Precision::F32 => TrigStore::F32 {
-                half_sin: data.iter().map(|&t| (t * 0.5).sin()).collect(),
-                half_cos: data.iter().map(|&t| (t * 0.5).cos()).collect(),
-            },
-            Precision::I16 => TrigStore::I16 {
-                half_sin: data
-                    .iter()
-                    .map(|&t| quantize_i16((t * 0.5).sin()))
-                    .collect(),
-                half_cos: data
-                    .iter()
-                    .map(|&t| quantize_i16((t * 0.5).cos()))
-                    .collect(),
-            },
-        };
         Self {
-            store,
+            half_sin: data.iter().map(|&t| (t * 0.5).sin()).collect(),
+            half_cos: data.iter().map(|&t| (t * 0.5).cos()).collect(),
             n_entities: rows.len(),
             dim: d,
         }
@@ -183,32 +102,20 @@ impl EntityTrig {
         self.dim
     }
 
-    /// The storage precision this table was built at.
-    pub fn precision(&self) -> Precision {
-        match self.store {
-            TrigStore::F32 { .. } => Precision::F32,
-            TrigStore::I16 { .. } => Precision::I16,
-        }
-    }
-
     /// Bytes resident in the trig arrays (the memory-diet number STATS
     /// reports; excludes the fixed-size struct header).
     pub fn resident_bytes(&self) -> usize {
-        self.n_entities * self.dim * self.precision().bytes_per_pair()
+        self.n_entities * self.dim * Self::BYTES_PER_PAIR
     }
 
-    /// The raw `(half_sin, half_cos)` arrays of a full-precision table —
-    /// `None` for quantized stores. This is the snapshot serialization
-    /// surface: an `F32` table's arrays roundtrip bit-exactly through
+    /// The raw `(half_sin, half_cos)` arrays. This is the snapshot
+    /// serialization surface: they roundtrip bit-exactly through
     /// [`EntityTrig::from_f32_parts`].
-    pub fn f32_parts(&self) -> Option<(&[f32], &[f32])> {
-        match &self.store {
-            TrigStore::F32 { half_sin, half_cos } => Some((half_sin, half_cos)),
-            _ => None,
-        }
+    pub fn f32_parts(&self) -> (&[f32], &[f32]) {
+        (&self.half_sin, &self.half_cos)
     }
 
-    /// Rebuilds a full-precision table from arrays previously obtained via
+    /// Rebuilds a table from arrays previously obtained via
     /// [`EntityTrig::f32_parts`] — the snapshot fast-boot constructor that
     /// skips the `O(n_entities · dim)` sin/cos sweep. Shape mismatches are
     /// a typed error (snapshot decode must never panic).
@@ -227,61 +134,29 @@ impl EntityTrig {
             ));
         }
         Ok(Self {
-            store: TrigStore::F32 { half_sin, half_cos },
+            half_sin,
+            half_cos,
             n_entities,
             dim,
         })
     }
 
-    /// Re-slices rows of a full-precision table into a (possibly
-    /// quantized) shard table. Quantization applies the same per-element
-    /// mapping as [`EntityTrig::new`] to the same stored f32
-    /// values, so the result is element-for-element bit-identical to
-    /// building the shard from the angle table directly — that equality is
-    /// what lets a snapshot-booted server serve the same bits as a
-    /// TSV-booted one.
+    /// Copies rows of this table into a shard table. The result is
+    /// element-for-element bit-identical to building the shard from the
+    /// angle table directly — that equality is what lets a snapshot-booted
+    /// server serve the same bits as a TSV-booted one.
     ///
     /// # Panics
-    /// If `self` is not an `F32` table or `rows` is out of bounds — both
-    /// are caller bugs (callers hold the full-precision table by
-    /// construction).
-    pub fn slice_rows(&self, rows: std::ops::Range<usize>, precision: Precision) -> Self {
+    /// If `rows` is out of bounds (a caller bug).
+    pub fn slice_rows(&self, rows: std::ops::Range<usize>) -> Self {
         assert!(rows.end <= self.n_entities, "trig row range out of bounds");
         let d = self.dim;
-        let (half_sin, half_cos) = self
-            .f32_parts()
-            .expect("slice_rows requires a full-precision source table");
-        let (sin, cos) = (
-            &half_sin[rows.start * d..rows.end * d],
-            &half_cos[rows.start * d..rows.end * d],
-        );
-        let store = match precision {
-            Precision::F32 => TrigStore::F32 {
-                half_sin: sin.to_vec(),
-                half_cos: cos.to_vec(),
-            },
-            Precision::I16 => TrigStore::I16 {
-                half_sin: sin.iter().map(|&v| quantize_i16(v)).collect(),
-                half_cos: cos.iter().map(|&v| quantize_i16(v)).collect(),
-            },
-        };
+        let elems = rows.start * d..rows.end * d;
         Self {
-            store,
+            half_sin: self.half_sin[elems.clone()].to_vec(),
+            half_cos: self.half_cos[elems].to_vec(),
             n_entities: rows.len(),
             dim: d,
-        }
-    }
-
-    /// Decodes element `j` (row-major) to the `(sin, cos)` pair the kernel
-    /// computes with — exact storage bits in `F32` mode, dequantized values
-    /// otherwise. Diagnostics and tests; the hot path decodes in bulk.
-    pub fn decoded(&self, j: usize) -> (f32, f32) {
-        match &self.store {
-            TrigStore::F32 { half_sin, half_cos } => (half_sin[j], half_cos[j]),
-            TrigStore::I16 { half_sin, half_cos } => (
-                half_sin[j] as f32 * (1.0 / I16_SCALE),
-                half_cos[j] as f32 * (1.0 / I16_SCALE),
-            ),
         }
     }
 }
@@ -559,45 +434,10 @@ impl ArcScorer {
         if d == 0 {
             return;
         }
-        match &trig.store {
-            TrigStore::F32 { half_sin, half_cos } => {
-                // The historical unquantized loop, untouched: `F32` scores
-                // stay bit-identical to every pre-quantization release.
-                let rows_s = half_sin[row0 * d..].chunks_exact(d);
-                let rows_c = half_cos[row0 * d..].chunks_exact(d);
-                for ((sh, ch), slot) in rows_s.zip(rows_c).zip(out.iter_mut()) {
-                    *slot = slot.min(self.score_row::<MODE>(sh, ch));
-                }
-            }
-            TrigStore::I16 { half_sin, half_cos } => {
-                self.score_quantized::<MODE>(half_sin, half_cos, row0, out)
-            }
-        }
-    }
-
-    /// Quantized-table sweep: each row is dequantized once into a small
-    /// scratch pair (an integer convert plus one multiply per element —
-    /// both autovectorize) and then scored by the same branch-free kernel
-    /// as the `f32` path, so the decode cost amortizes over all DNF
-    /// branches of the query.
-    fn score_quantized<const MODE: u8>(
-        &self,
-        half_sin: &[i16],
-        half_cos: &[i16],
-        row0: usize,
-        out: &mut [f32],
-    ) {
-        let d = self.dim;
-        let mut sh = vec![0.0f32; d];
-        let mut ch = vec![0.0f32; d];
-        let rows_s = half_sin[row0 * d..].chunks_exact(d);
-        let rows_c = half_cos[row0 * d..].chunks_exact(d);
-        for ((qs, qc), slot) in rows_s.zip(rows_c).zip(out.iter_mut()) {
-            for j in 0..d {
-                sh[j] = f32::from(qs[j]) * (1.0 / I16_SCALE);
-                ch[j] = f32::from(qc[j]) * (1.0 / I16_SCALE);
-            }
-            *slot = slot.min(self.score_row::<MODE>(&sh, &ch));
+        let rows_s = trig.half_sin[row0 * d..].chunks_exact(d);
+        let rows_c = trig.half_cos[row0 * d..].chunks_exact(d);
+        for ((sh, ch), slot) in rows_s.zip(rows_c).zip(out.iter_mut()) {
+            *slot = slot.min(self.score_row::<MODE>(sh, ch));
         }
     }
 
@@ -761,8 +601,8 @@ mod tests {
     use halk_obs::Deadline;
     use halk_par::Pool;
 
-    fn trig(table: &Tensor, precision: Precision) -> EntityTrig {
-        EntityTrig::new(table, 0..table.rows, precision)
+    fn trig(table: &Tensor) -> EntityTrig {
+        EntityTrig::new(table, 0..table.rows)
     }
 
     fn score_all(scorer: &ArcScorer, trig: &EntityTrig) -> Vec<f32> {
@@ -772,14 +612,8 @@ mod tests {
     }
 
     /// One sweep of the single-shard sharded top-k over `table`.
-    fn top_k(
-        scorer: &ArcScorer,
-        table: &Tensor,
-        precision: Precision,
-        k: usize,
-        deadline: &Deadline,
-    ) -> ShardedTopK {
-        let sharded = ShardedTrig::new(table, &ArcShards::new(table.rows, 1), precision);
+    fn top_k(scorer: &ArcScorer, table: &Tensor, k: usize, deadline: &Deadline) -> ShardedTopK {
+        let sharded = ShardedTrig::new(table, &ArcShards::new(table.rows, 1));
         sharded_top_k(
             &Pool::new(1),
             &sharded,
@@ -833,7 +667,7 @@ mod tests {
             data.push((i as f32 * 0.77 + 1.3) % TAU);
         }
         let table = Tensor::from_vec(n, 2, data);
-        let trig = trig(&table, Precision::F32);
+        let trig = trig(&table);
         for mode in [
             DistanceMode::LiteralEq16,
             DistanceMode::CenterAnchored,
@@ -857,7 +691,7 @@ mod tests {
         let arcs = grid_arcs(rho);
         let table = Tensor::from_vec(4, 2, vec![0.1, 0.2, 3.0, 4.0, 5.5, 0.9, 2.2, 2.3]);
         let scorer = ArcScorer::from_arcs(&arcs, rho, 0.1, DistanceMode::CenterAnchored);
-        let full = score_all(&scorer, &trig(&table, Precision::F32));
+        let full = score_all(&scorer, &trig(&table));
         let mut subset = Vec::new();
         scorer.score_rows_into(&table, &[3, 0, 2], &mut subset);
         assert_eq!(subset, vec![full[3], full[0], full[2]]);
@@ -867,7 +701,7 @@ mod tests {
     fn empty_branches_score_infinity() {
         let scorer = ArcScorer::from_arcs(&[], 1.0, 0.1, DistanceMode::LiteralEq16);
         let table = Tensor::from_vec(2, 0, vec![]);
-        let out = score_all(&scorer, &trig(&table, Precision::F32));
+        let out = score_all(&scorer, &trig(&table));
         assert_eq!(out, vec![f32::INFINITY; 2]);
     }
 
@@ -922,12 +756,12 @@ mod tests {
             data.push((i as f32 * 0.77 + 1.3) % TAU);
         }
         let table = Tensor::from_vec(n, 2, data);
-        let trig = trig(&table, Precision::F32);
+        let trig = trig(&table);
         let scorer = ArcScorer::from_arcs(&arcs, rho, 0.05, DistanceMode::LiteralEq16);
         let full = score_all(&scorer, &trig);
 
         // Unarmed deadline: everything scored, bit-identical to score_into.
-        let (hits, done) = top_k(&scorer, &table, Precision::F32, n, &Deadline::never());
+        let (hits, done) = top_k(&scorer, &table, n, &Deadline::never());
         assert_eq!(done, n);
         let mut out = vec![f32::INFINITY; n];
         for (i, s) in hits {
@@ -943,7 +777,7 @@ mod tests {
         let (clock, now) = Clock::mock();
         let d = Deadline::at_ns(&clock, 1);
         now.store(5, std::sync::atomic::Ordering::SeqCst);
-        let (partial, done) = top_k(&scorer, &table, Precision::F32, n, &d);
+        let (partial, done) = top_k(&scorer, &table, n, &d);
         assert_eq!(done, 0);
         assert!(partial.is_empty());
 
@@ -1000,102 +834,19 @@ mod tests {
     #[test]
     fn trig_from_rows_matches_full_table() {
         let table = Tensor::from_vec(4, 2, vec![0.1, 0.2, 3.0, 4.0, 5.5, 0.9, 2.2, 2.3]);
-        for p in [Precision::F32, Precision::I16] {
-            let full = trig(&table, p);
-            let part = EntityTrig::new(&table, 1..3, p);
-            assert_eq!(part.n_entities(), 2);
-            assert_eq!(part.precision(), p);
-            for j in 0..4 {
-                let (ps, pc) = part.decoded(j);
-                let (fs, fc) = full.decoded(2 + j);
-                assert_eq!(ps.to_bits(), fs.to_bits(), "{p} sin {j}");
-                assert_eq!(pc.to_bits(), fc.to_bits(), "{p} cos {j}");
-            }
-        }
+        let full = trig(&table);
+        let part = EntityTrig::new(&table, 1..3);
+        assert_eq!(part.n_entities(), 2);
+        let ((ps, pc), (fs, fc)) = (part.f32_parts(), full.f32_parts());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(ps), bits(&fs[2..6]), "sin");
+        assert_eq!(bits(pc), bits(&fc[2..6]), "cos");
     }
 
     #[test]
-    fn precision_parses_and_sizes() {
-        assert_eq!("f32".parse::<Precision>().unwrap(), Precision::F32);
-        assert_eq!("f16".parse::<Precision>().unwrap(), Precision::I16);
-        assert_eq!("i16".parse::<Precision>().unwrap(), Precision::I16);
-        assert!("f64".parse::<Precision>().is_err());
-        assert_eq!(Precision::default(), Precision::F32);
+    fn resident_bytes_count_eight_per_pair() {
         let table = Tensor::from_vec(4, 2, vec![0.0; 8]);
-        assert_eq!(trig(&table, Precision::F32).resident_bytes(), 4 * 2 * 8);
-        assert_eq!(trig(&table, Precision::I16).resident_bytes(), 4 * 2 * 4);
-    }
-
-    #[test]
-    fn quantized_scores_track_exact_within_error_bound() {
-        let rho = 1.0;
-        let eta = 0.05;
-        let arcs = grid_arcs(rho);
-        let n = 128;
-        let d = 2;
-        let mut data = Vec::with_capacity(n * d);
-        for i in 0..n {
-            data.push(i as f32 * TAU / n as f32);
-            data.push((i as f32 * 0.77 + 1.3) % TAU);
-        }
-        let table = Tensor::from_vec(n, d, data);
-        let exact = trig(&table, Precision::F32);
-        for mode in [
-            DistanceMode::LiteralEq16,
-            DistanceMode::CenterAnchored,
-            DistanceMode::ZeroedInside,
-        ] {
-            let scorer = ArcScorer::from_arcs(&arcs, rho, eta, mode);
-            let want = score_all(&scorer, &exact);
-            // Worst-case per-coordinate decode error is 1/(2·scale); each
-            // coordinate contributes ≤ 2 decoded values per distance term,
-            // so bound the score gap by a small multiple of dims · step
-            // (the ZeroedInside containment mask can flip on boundary
-            // entities, so skip exact-boundary rows there via the bound).
-            for (p, step) in [(Precision::I16, 0.5 / I16_SCALE)] {
-                let q = trig(&table, p);
-                let got = score_all(&scorer, &q);
-                let tol = 2.0 * rho * (d as f32) * 8.0 * step + 1e-5;
-                let mut close = 0;
-                for (e, (&a, &b)) in want.iter().zip(&got).enumerate() {
-                    if (a - b).abs() <= tol {
-                        close += 1;
-                    } else {
-                        // Mask flips under ZeroedInside can move a term by
-                        // the full endpoint distance; allow only there.
-                        assert_eq!(
-                            mode,
-                            DistanceMode::ZeroedInside,
-                            "{p} {mode:?} entity {e}: {a} vs {b} (tol {tol})"
-                        );
-                    }
-                }
-                assert!(close >= n - 2, "{p} {mode:?}: only {close}/{n} close");
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_top_k_ranks_match_exact_on_separated_scores() {
-        // Rank equivalence on a table whose score gaps dwarf the i16
-        // quantization step — the regime the serving gate runs in.
-        let rho = 1.0;
-        let arcs = grid_arcs(rho);
-        let n = SCORE_SLICE + 77;
-        let mut data = Vec::with_capacity(n * 2);
-        for i in 0..n {
-            data.push(i as f32 * TAU / n as f32);
-            data.push((i as f32 * 0.77 + 1.3) % TAU);
-        }
-        let table = Tensor::from_vec(n, 2, data);
-        let scorer = ArcScorer::from_arcs(&arcs, rho, 0.05, DistanceMode::CenterAnchored);
-        let exact = score_all(&scorer, &trig(&table, Precision::F32));
-        let want = top_k_indices(&exact, 10);
-
-        let (hits, rows) = top_k(&scorer, &table, Precision::I16, 10, &Deadline::never());
-        assert_eq!(rows, n);
-        let got: Vec<u32> = hits.iter().map(|&(i, _)| i).collect();
-        assert_eq!(got, want, "i16 top-k order drifted from exact");
+        assert_eq!(trig(&table).resident_bytes(), 4 * 2 * 8);
     }
 
     #[test]
@@ -1112,10 +863,10 @@ mod tests {
         }
         let table = Tensor::from_vec(n, 2, data);
         let scorer = ArcScorer::from_arcs(&arcs, rho, 0.05, DistanceMode::LiteralEq16);
-        let full = score_all(&scorer, &trig(&table, Precision::F32));
+        let full = score_all(&scorer, &trig(&table));
         let want = top_k_indices(&full, 10);
 
-        let (got, rows) = top_k(&scorer, &table, Precision::F32, 10, &Deadline::never());
+        let (got, rows) = top_k(&scorer, &table, 10, &Deadline::never());
         assert_eq!(rows, n);
         assert_eq!(got.len(), want.len());
         for (&w, &(i, s)) in want.iter().zip(&got) {
@@ -1128,7 +879,7 @@ mod tests {
         let (clock, now) = Clock::mock();
         let d = Deadline::at_ns(&clock, 1);
         now.store(5, std::sync::atomic::Ordering::SeqCst);
-        let (h2, rows) = top_k(&scorer, &table, Precision::F32, 10, &d);
+        let (h2, rows) = top_k(&scorer, &table, 10, &d);
         assert_eq!(rows, 0);
         assert!(h2.is_empty());
     }

@@ -23,7 +23,7 @@
 //! full-vector [`crate::top_k_indices`] reference bit-for-bit for every
 //! shard count.
 
-use crate::scorer::{ArcScorer, EntityTrig, Precision, TopK, SCORE_SLICE};
+use crate::scorer::{ArcScorer, EntityTrig, TopK, SCORE_SLICE};
 use halk_nn::Tensor;
 use halk_obs::metrics;
 use halk_obs::Deadline;
@@ -79,7 +79,7 @@ impl ArcShards {
 /// Shard-local trig tables: one SoA [`EntityTrig`] per arc shard, built
 /// once per model snapshot and shared read-only by every query. Entry `i`
 /// of shard `s` is table row `start(s) + i`, bit-identical to the same
-/// row of a whole-table [`EntityTrig::new`] at the same precision.
+/// row of a whole-table [`EntityTrig::new`].
 pub struct ShardedTrig {
     shards: Vec<(usize, EntityTrig)>,
     n_entities: usize,
@@ -87,10 +87,8 @@ pub struct ShardedTrig {
 }
 
 impl ShardedTrig {
-    /// Precomputes per-shard trig for an angle table under `parts`, every
-    /// shard stored at `precision` (a quantized format shrinks the
-    /// per-shard resident bytes by its width ratio).
-    pub fn new(table: &Tensor, parts: &ArcShards, precision: Precision) -> Self {
+    /// Precomputes per-shard trig for an angle table under `parts`.
+    pub fn new(table: &Tensor, parts: &ArcShards) -> Self {
         assert_eq!(parts.n_entities(), table.rows, "shard/table row mismatch");
         // Table builds are the expensive cold-start event; the warm-start
         // test pins that a serving engine performs them at boot, never on
@@ -99,7 +97,7 @@ impl ShardedTrig {
         let shards = (0..parts.n_shards())
             .map(|s| {
                 let r = parts.range(s);
-                (r.start, EntityTrig::new(table, r, precision))
+                (r.start, EntityTrig::new(table, r))
             })
             .collect();
         Self {
@@ -110,11 +108,11 @@ impl ShardedTrig {
     }
 
     /// Builds the sharded tables by re-slicing an already-computed
-    /// full-precision [`EntityTrig`] instead of paying the sin/cos sweep —
+    /// whole-table [`EntityTrig`] instead of paying the sin/cos sweep —
     /// the snapshot fast-boot path. [`EntityTrig::slice_rows`] guarantees
-    /// each shard is bit-identical to [`ShardedTrig::new`] on
-    /// the angle table the full trig was built from, at every precision.
-    pub fn from_table(full: &EntityTrig, parts: &ArcShards, precision: Precision) -> Self {
+    /// each shard is bit-identical to [`ShardedTrig::new`] on the angle
+    /// table the full trig was built from.
+    pub fn from_table(full: &EntityTrig, parts: &ArcShards) -> Self {
         assert_eq!(
             parts.n_entities(),
             full.n_entities(),
@@ -124,7 +122,7 @@ impl ShardedTrig {
         let shards = (0..parts.n_shards())
             .map(|s| {
                 let r = parts.range(s);
-                (r.start, full.slice_rows(r, precision))
+                (r.start, full.slice_rows(r))
             })
             .collect();
         Self {
@@ -137,13 +135,6 @@ impl ShardedTrig {
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The storage precision the shards were built at.
-    pub fn precision(&self) -> Precision {
-        self.shards
-            .first()
-            .map_or(Precision::F32, |(_, t)| t.precision())
     }
 
     /// Total bytes resident across all shard trig tables.

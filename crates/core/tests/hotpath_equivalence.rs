@@ -8,11 +8,13 @@
 //! 2. bit-for-bit: pooled-tape training reproduces the loss trajectory and
 //!    final parameters of fresh-tape training exactly at a fixed seed;
 //! 3. metrics: filtered-ranking MRR/Hit@K per structure are identical under
-//!    either scoring path at a fixed seed.
+//!    either scoring path at a fixed seed;
+//! 4. bit-for-bit: scoring through a prebuilt `EntityTrig` table
+//!    (`score_all_with`) equals `score_all` on a trained model.
 
-use halk_core::{DistanceMode, HalkConfig, HalkModel, QueryModel, TrainExample};
+use halk_core::{DistanceMode, HalkConfig, HalkModel, QueryModel, TrainConfig, TrainExample};
 use halk_kg::{generate, Graph, SynthConfig};
-use halk_logic::{answers, filtered_ranks, MetricsAccumulator, Sampler, Structure};
+use halk_logic::{answers, filtered_ranks, MetricsAccumulator, Query, Sampler, Structure};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -166,5 +168,37 @@ fn filtered_ranking_metrics_identical_under_either_scorer() {
                 structure.name()
             );
         }
+    }
+}
+
+fn trained_deployment() -> (Graph, HalkModel) {
+    let cfg = SynthConfig {
+        n_entities: 400,
+        ..SynthConfig::fb237_like()
+    };
+    let graph = generate(&cfg, &mut StdRng::seed_from_u64(11));
+    let mut model = HalkModel::new(&graph, HalkConfig::tiny());
+    let tc = TrainConfig {
+        steps: 40,
+        threads: 1,
+        ..TrainConfig::tiny()
+    };
+    halk_core::train_model(&mut model, &graph, &[Structure::P1], &tc).unwrap();
+    (graph, model)
+}
+
+#[test]
+fn f32_trig_path_is_bit_identical_to_score_all() {
+    let (graph, model) = trained_deployment();
+    let trig = model.entity_trig();
+    let mut via_trig = Vec::new();
+    for t in &graph.triples()[..16] {
+        let query = Query::atom(t.h, t.r);
+        model.score_all_with(&trig, &query, &mut via_trig);
+        assert_eq!(
+            via_trig,
+            model.score_all(&query),
+            "exact path must not drift"
+        );
     }
 }

@@ -15,7 +15,10 @@
 //!    and merge-k over *arbitrary* (not just contiguous) partitions of a
 //!    tie-heavy score vector matches `top_k_indices` — the heap merge is
 //!    partition- and order-independent because (score, index) keys are
-//!    distinct.
+//!    distinct;
+//! 5. snapshot boot: shards re-sliced from a whole-table trig
+//!    (`ShardedTrig::from_table`) select bit-identically to shards built
+//!    from the angle table (`entity_shards`).
 //!
 //! Scores from `ArcScorer` are finite and non-negative (2ρ · a min-fold of
 //! sums of absolute values), never `-0.0` or NaN, so `total_cmp` ordering
@@ -23,8 +26,8 @@
 //! ordering. Synthetic vectors below stay in that domain on purpose.
 
 use halk_core::{
-    sharded_top_k, top_k_indices, HalkConfig, HalkModel, Pool, ShardedTopK, ShardedTrig, TopK,
-    SCORE_SLICE,
+    sharded_top_k, top_k_indices, ArcShards, HalkConfig, HalkModel, Pool, ShardedTopK, ShardedTrig,
+    TopK, SCORE_SLICE,
 };
 use halk_kg::{generate, SynthConfig};
 use halk_logic::plan::PlanShape;
@@ -184,6 +187,31 @@ fn expired_deadline_scores_nothing_and_never_scores_everything() {
     let (hits, rows) = top_k(&setup.model, &pool, &sharded, query, 10, &Deadline::never());
     assert_eq!(rows, setup.n);
     assert_eq!(hits.len(), 10);
+}
+
+#[test]
+fn shards_resliced_from_a_boot_table_match_fresh_shards() {
+    let setup = setup();
+    assert!(setup.n > 2 * SCORE_SLICE, "shards must span several slices");
+    let never = Deadline::never();
+    let pool = Pool::new(2);
+    let full = setup.model.entity_trig();
+    for shards in [1, 3, 4] {
+        let booted = ShardedTrig::from_table(&full, &ArcShards::new(setup.n, shards));
+        let fresh = setup.model.entity_shards(shards);
+        assert_eq!(booted.n_shards(), fresh.n_shards());
+        for query in &setup.queries {
+            for k in [10, setup.n] {
+                let (got, rows) = top_k(&setup.model, &pool, &booted, query, k, &never);
+                let (want, _) = top_k(&setup.model, &pool, &fresh, query, k, &never);
+                assert_eq!(rows, setup.n);
+                let bits = |v: &[(u32, f32)]| -> Vec<(u32, u32)> {
+                    v.iter().map(|&(e, s)| (e, s.to_bits())).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "shards={shards} k={k}");
+            }
+        }
+    }
 }
 
 proptest! {

@@ -49,7 +49,7 @@ pub struct Engine {
     graph: Graph,
     model: Option<HalkModel>,
     /// The skeleton-keyed batch executor: owns the plan cache, the
-    /// resident [`ShardedTrig`] tables (shard count + precision knobs),
+    /// resident [`ShardedTrig`] tables (shard count knob),
     /// and the batch-drain cap.
     exec: Executor,
     test_faults: bool,
@@ -223,24 +223,17 @@ impl Engine {
     /// The shard count defaults to the pool's thread budget (HALK_THREADS
     /// or the machine); [`Engine::with_options`] fixes it explicitly.
     pub fn new(graph: Graph, model: Option<HalkModel>) -> Engine {
-        Engine::with_options(graph, model, None, Precision::F32)
+        Engine::with_options(graph, model, None)
     }
 
-    /// [`Engine::new`] with an explicit shard count and trig storage
-    /// precision. `F32` is bit-identical to `score_all`; `I16` halves the
-    /// resident tables and preserves ranks, not bits. The tables are built
-    /// once, at boot, in the requested format.
-    pub fn with_options(
-        graph: Graph,
-        model: Option<HalkModel>,
-        shards: Option<usize>,
-        precision: Precision,
-    ) -> Engine {
+    /// [`Engine::new`] with an explicit shard count. The tables are built
+    /// once, at boot, and score bit-identically to `score_all`.
+    pub fn with_options(graph: Graph, model: Option<HalkModel>, shards: Option<usize>) -> Engine {
         let shards = shards.unwrap_or_else(|| Pool::auto().threads()).max(1);
         let engine = Engine {
             graph,
             model,
-            exec: Executor::new(Engine::exec_config(shards, precision)),
+            exec: Executor::new(Engine::exec_config(shards)),
             test_faults: false,
             slow_ms: slow_ms_from_env(),
         };
@@ -256,28 +249,27 @@ impl Engine {
     /// The serving executor profile: the same `model_batch` pool region
     /// the model's own executor uses, capped at [`DEFAULT_BATCH_CAP`]
     /// per group (`halk serve --batch-cap` overrides).
-    fn exec_config(shards: usize, precision: Precision) -> ExecConfig {
+    fn exec_config(shards: usize) -> ExecConfig {
         ExecConfig {
             label: "model_batch",
             batch_cap: DEFAULT_BATCH_CAP,
             shards,
-            precision,
             ..ExecConfig::default()
         }
     }
 
-    /// [`Engine::with_options`] booting from a precomputed full-precision
-    /// trig table (a snapshot's `TRIG` section) instead of paying the
-    /// sin/cos sweep. The table is re-sliced into shards — bit-identical
-    /// to a fresh build at every precision (`ShardedTrig::from_table`) —
-    /// and dropped afterwards, so the resident working set is the same as
-    /// a cold boot's.
+    /// [`Engine::with_options`] booting from a precomputed whole-table
+    /// trig (a snapshot's `TRIG` section) instead of paying the sin/cos
+    /// sweep. The table is re-sliced into shards — bit-identical to a
+    /// fresh build (`ShardedTrig::from_table`) — and dropped afterwards, so
+    /// the resident working set is the same as a cold boot's. `_precision`
+    /// is ignored: [`Precision::F32`] is the only trig format.
     pub fn with_boot_table(
         graph: Graph,
         model: HalkModel,
         trig: &EntityTrig,
         shards: Option<usize>,
-        precision: Precision,
+        _precision: Precision,
     ) -> Engine {
         assert_eq!(
             trig.n_entities(),
@@ -289,14 +281,14 @@ impl Engine {
         let engine = Engine {
             graph,
             model: Some(model),
-            exec: Executor::new(Engine::exec_config(shards, precision)),
+            exec: Executor::new(Engine::exec_config(shards)),
             test_faults: false,
             slow_ms: slow_ms_from_env(),
         };
         let parts = ArcShards::new(trig.n_entities(), shards);
         engine
             .exec
-            .install_sharded(version, ShardedTrig::from_table(trig, &parts, precision));
+            .install_sharded(version, ShardedTrig::from_table(trig, &parts));
         engine.publish_trig_gauges();
         engine
     }
@@ -319,11 +311,6 @@ impl Engine {
         if let Some(sharded) = self.exec.resident_sharded() {
             let total = sharded.resident_bytes();
             halk_obs::metrics::gauge("halk_serve_trig_resident_bytes").set(total as f64);
-            halk_obs::metrics::gauge(&format!(
-                "halk_serve_trig_resident_bytes_{}",
-                self.exec.precision().name()
-            ))
-            .set(total as f64);
             for (s, bytes) in self.trig_shard_bytes().into_iter().enumerate() {
                 halk_obs::metrics::gauge(&format!("halk_serve_trig_resident_bytes_shard_{s}"))
                     .set(bytes as f64);
@@ -334,11 +321,6 @@ impl Engine {
     /// The configured arc-shard count.
     pub fn n_shards(&self) -> usize {
         self.exec.shards()
-    }
-
-    /// The trig storage precision the engine scores at.
-    pub fn scoring_precision(&self) -> Precision {
-        self.exec.precision()
     }
 
     /// Total resident bytes of the shard-local trig tables (0 without a

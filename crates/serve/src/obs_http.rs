@@ -11,8 +11,7 @@
 //! * `GET /metrics.json` — one JSON object with `cumulative`, `window`
 //!   and `health` sub-objects; this is what `halk top` polls.
 //! * `GET /healthz` — liveness plus capacity facts: queue depth/cap,
-//!   session count, drain state, shard count, scoring precision,
-//!   resident table bytes.
+//!   session count, drain state, shard count, resident table bytes.
 //!
 //! The framing is deliberately minimal — request line parsed, headers
 //! ignored, `Connection: close` on every response — because the clients
@@ -144,7 +143,7 @@ fn render_healthz(shared: &Arc<Shared>) -> String {
     format!(
         "{{\"ok\":true,\"draining\":{},\"queue_depth\":{},\"queue_cap\":{},\
          \"sessions\":{},\"max_sessions\":{},\"workers\":{},\"has_model\":{},\
-         \"shards\":{},\"precision\":\"{}\",\"batch_cap\":{},\
+         \"shards\":{},\"batch_cap\":{},\
          \"trig_resident_bytes\":{}}}",
         shared.shutdown.load(Ordering::SeqCst),
         shared.queue_len(),
@@ -154,7 +153,6 @@ fn render_healthz(shared: &Arc<Shared>) -> String {
         shared.cfg.workers,
         e.has_model(),
         e.n_shards(),
-        e.scoring_precision().name(),
         e.max_batch(),
         e.trig_resident_bytes(),
     )

@@ -33,6 +33,7 @@
 
 use crate::engine::{BatchItem, Engine, PreparedAsk};
 use crate::protocol::{encode_frame, ErrorKind, FrameDecoder, Request, Response, MAX_FRAME};
+use halk_core::EntityTrig;
 use halk_obs::{Clock, Deadline};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -349,13 +350,25 @@ fn accept_loop(
                             .set(shared.sessions.load(Ordering::SeqCst) as f64);
                     })
                     .expect("spawn session");
-                handles.lock().expect("sessions").push(handle);
+                let mut retained = handles.lock().expect("sessions");
+                reap_finished(&mut retained);
+                retained.push(handle);
             }
             // Nonblocking accept: idle tick, check the shutdown flag.
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        }
+    }
+}
+
+/// Joins and drops the handles of session threads that have exited, so a
+/// long-running daemon retains one only per live connection.
+fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
+    for h in handles.extract_if(.., |h| h.is_finished()) {
+        if h.join().is_err() {
+            halk_obs::log!(Error, "a session thread panicked");
         }
     }
 }
@@ -378,8 +391,12 @@ fn protocol_error(stream: &mut TcpStream, detail: &str) {
 
 fn session_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
     // Accepted sockets can inherit the listener's nonblocking mode on
-    // some platforms; force blocking-with-timeout semantics.
+    // some platforms; force blocking-with-timeout semantics. Each reply is
+    // one `write_all` of a whole frame, so disabling Nagle adds no
+    // segments; it only stops a reply from waiting on the client's
+    // delayed ACK of the previous one.
     if stream.set_nonblocking(false).is_err()
+        || stream.set_nodelay(true).is_err()
         || stream
             .set_read_timeout(Some(shared.cfg.read_timeout))
             .is_err()
@@ -471,8 +488,8 @@ fn session_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
 }
 
 /// Snapshot of the serving counters `load_gen` folds into its summary,
-/// plus the memory-diet gauges: resident trig bytes (total, per shard)
-/// at the engine's precision, and how long boot took (`boot_ns` is set by
+/// plus the memory-diet gauges: resident trig bytes (total, per shard;
+/// 8 per `f32` sin/cos pair), and how long boot took (`boot_ns` is set by
 /// the CLI around engine construction; 0 when serving embedded).
 ///
 /// `latency_p50_us`/`latency_p99_us` are *rolling* quantiles over the
@@ -510,7 +527,7 @@ fn stats_response(shared: &Shared) -> Response {
         ),
         (
             "trig_bytes_per_pair".to_string(),
-            engine.scoring_precision().bytes_per_pair() as u64,
+            EntityTrig::BYTES_PER_PAIR as u64,
         ),
     ];
     for (s, bytes) in engine.trig_shard_bytes().into_iter().enumerate() {
@@ -859,5 +876,29 @@ mod tests {
         assert_eq!(shared.ewma_ns.load(Ordering::Relaxed), 9_000);
         shared.observe_service(0);
         assert_eq!(shared.ewma_ns.load(Ordering::Relaxed), 7_875);
+    }
+
+    #[test]
+    fn finished_session_threads_are_reaped() {
+        let graph = halk_kg::Graph::from_triples(2, 1, vec![halk_kg::Triple::new(0, 0, 1)]);
+        let server = Server::start(Engine::new(graph, None), ServeConfig::default()).unwrap();
+        for _ in 0..50 {
+            let mut c = crate::Client::connect(server.local_addr()).unwrap();
+            assert!(matches!(c.ping().unwrap(), Response::Pong));
+            drop(c);
+            // Wait for the session to wind down, so the next accept finds
+            // its thread finished (or about to be).
+            let t0 = Instant::now();
+            while server.shared.sessions.load(Ordering::SeqCst) > 0 {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(10),
+                    "session never ended"
+                );
+                std::thread::yield_now();
+            }
+        }
+        let retained = server.session_handles.lock().unwrap().len();
+        assert!(retained <= 3, "{retained} session handles retained");
+        server.join();
     }
 }

@@ -7,10 +7,9 @@
 //! and responses must be identical from the first request to the last.
 //! This file is its own test binary holding a single test, so the
 //! process-global counter is not shared with any other engine
-//! construction (the quantized twin lives in `warm_start_quantized.rs`
-//! for the same reason).
+//! construction.
 
-use halk_core::{HalkConfig, HalkModel, Precision};
+use halk_core::{HalkConfig, HalkModel};
 use halk_kg::{generate, SynthConfig};
 use halk_obs::{Clock, Deadline};
 use halk_serve::{AskEngine, Engine, Response};
@@ -24,7 +23,7 @@ fn deployment() -> Engine {
     };
     let graph = generate(&cfg, &mut StdRng::seed_from_u64(21));
     let model = HalkModel::new(&graph, HalkConfig::tiny());
-    Engine::with_options(graph, Some(model), Some(4), Precision::F32)
+    Engine::with_options(graph, Some(model), Some(4))
 }
 
 #[test]

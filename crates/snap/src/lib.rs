@@ -43,14 +43,14 @@
 //! JSON), `GRPH` (triples, 12 bytes each, stored sorted so decode
 //! rebuilds the adjacency indexes with counting passes instead of a
 //! sort), `GROU` (grouping parts), `PARM` (train step + tensor shapes +
-//! one raw f32 value blob), `TRIG` (the full-precision entity-trig table:
+//! one raw f32 value blob), `TRIG` (the entity-trig table:
 //! `half_sin` then `half_cos`, `n_entities · dim` f32 each).
 //!
 //! [`write_file`] is crash-safe the same way checkpoint saves are: temp
 //! sibling + fsync + atomic rename, so a crash mid-write leaves the old
 //! snapshot (or nothing), never a torn file.
 
-use halk_core::{EntityTrig, HalkConfig, HalkModel, Precision};
+use halk_core::{EntityTrig, HalkConfig, HalkModel};
 use halk_kg::{Graph, Grouping, Triple};
 use halk_nn::checkpoint::crc32;
 use halk_nn::{ParamStore, Tensor};
@@ -251,9 +251,7 @@ fn encode_params(store: &ParamStore) -> Vec<u8> {
 }
 
 fn encode_trig(trig: &EntityTrig) -> Vec<u8> {
-    let (half_sin, half_cos) = trig
-        .f32_parts()
-        .expect("the writer always builds the full-precision table");
+    let (half_sin, half_cos) = trig.f32_parts();
     let mut p = Vec::with_capacity((half_sin.len() + half_cos.len()) * 4);
     put_f32s(&mut p, half_sin);
     put_f32s(&mut p, half_cos);
@@ -261,7 +259,7 @@ fn encode_trig(trig: &EntityTrig) -> Vec<u8> {
 }
 
 /// Serializes a deployment (graph + trained model) to snapshot bytes,
-/// precomputing the full-precision entity-trig table so boot can skip the
+/// precomputing the entity-trig table so boot can skip the
 /// sin/cos sweep.
 ///
 /// # Panics
@@ -626,9 +624,9 @@ fn parse_trig(payload: &[u8], meta: &Meta) -> Result<EntityTrig, SnapError> {
 /// a typed [`SnapError`]; on success the triple is exactly what
 /// [`to_bytes`] was given (plus the trig table it precomputed).
 ///
-/// The returned [`EntityTrig`] is the full-precision table; servers shard
-/// or quantize it with `ShardedTrig::from_table`, which is bit-identical
-/// to building from the model directly.
+/// The returned [`EntityTrig`] is the whole table; servers shard it with
+/// `ShardedTrig::from_table`, which is bit-identical to building from the
+/// model directly.
 pub fn from_bytes(buf: &[u8]) -> Result<(Graph, HalkModel, EntityTrig), SnapError> {
     let (_version, sections) = split_sections(buf)?;
     let meta = parse_meta(sections.meta)?;
@@ -682,10 +680,10 @@ pub fn from_bytes(buf: &[u8]) -> Result<(Graph, HalkModel, EntityTrig), SnapErro
     // libm sin/cos differs surfaces as a typed error here instead of
     // silently non-identical rankings.
     if meta.n_entities > 0 {
-        let (sin, cos) = trig.f32_parts().expect("from_f32_parts stores f32");
+        let (sin, cos) = trig.f32_parts();
         for row in [0, meta.n_entities - 1] {
-            let want = EntityTrig::new(model.entity_table(), row..row + 1, Precision::F32);
-            let (ws, wc) = want.f32_parts().expect("row build is f32");
+            let want = EntityTrig::new(model.entity_table(), row..row + 1);
+            let (ws, wc) = want.f32_parts();
             let lo = row * meta.dim;
             let hi = lo + meta.dim;
             let same = sin[lo..hi]
@@ -831,8 +829,8 @@ mod tests {
         // The shipped trig table equals a fresh build from the model, so a
         // snapshot-booted server's fast path is the same bytes too.
         let fresh = model.entity_trig();
-        let (fs, fc) = fresh.f32_parts().unwrap();
-        let (ss, sc) = trig2.f32_parts().unwrap();
+        let (fs, fc) = fresh.f32_parts();
+        let (ss, sc) = trig2.f32_parts();
         assert!(fs.iter().zip(ss).all(|(a, b)| a.to_bits() == b.to_bits()));
         assert!(fc.iter().zip(sc).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
@@ -895,7 +893,7 @@ mod tests {
         // a third of what the Adam-carrying checkpoint stores.
         let parm = meta.sections.iter().find(|(n, _)| n == "PARM").unwrap().1;
         assert_eq!(parm, 8 + meta.n_params * 8 + meta.n_scalars * 4);
-        // TRIG is the two SoA halves of the full-precision table.
+        // TRIG is the two SoA halves of the f32 table.
         let trig = meta.sections.iter().find(|(n, _)| n == "TRIG").unwrap().1;
         assert_eq!(trig, meta.n_entities * meta.dim * 8);
     }
